@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
-from .errors import ParseError, RankError, SamplingError
+from .errors import ParseError, RankError, SamplingError, SetupError
 from .words import Word, empty_word, free_reduce, parse_word, random_reduced_word, serialize_word
 
 
@@ -29,11 +30,8 @@ def mat_identity(n: int) -> tuple:
 
 
 def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) % p for cb in bt) for ra in a
-    )
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, ra, cb)) % p for cb in bt]) for ra in a])
 
 
 def mat_inv(m: tuple, p: int) -> Optional[tuple]:
@@ -224,9 +222,9 @@ class CyclicModP(Platform):
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise SetupError(f"{self.p} is not prime")
         if not 1 <= self.g <= self.p - 1:
-            raise ValueError(f"generator {self.g} not a residue mod {self.p}")
+            raise SetupError(f"generator {self.g} not a residue mod {self.p}")
 
     @property
     def order_of_g(self) -> int:
@@ -333,9 +331,9 @@ class MatrixModP(Platform):
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise SetupError(f"{self.p} is not prime")
         if self.n < 1:
-            raise ValueError("matrix size must be positive")
+            raise SetupError("matrix size must be positive")
 
     def element(self, rows) -> Element:
         m = tuple(tuple(v % self.p for v in row) for row in rows)
@@ -483,7 +481,7 @@ def platform_from_spec(text: str) -> Platform:
             return MatrixModP(int(parts[1]), int(parts[2]))
         if parts[0] == "direct":
             return DirectFreePlatform(int(parts[1]), int(parts[2]))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, SetupError) as exc:
         raise ParseError(f"bad platform spec {text!r}: {exc}") from None
     raise ParseError(f"unknown platform kind {parts[0]!r}")
 

@@ -20,6 +20,12 @@ from .words import Word, empty_word, multiply, parse_word
 ENUM_GUARD = 1 << 24
 
 
+def _recheck(holds: bool, problem: str) -> None:
+    """Witness re-check that stays active under ``python -O``."""
+    if not holds:
+        raise AssertionError(f"{problem} witness fails its re-check")
+
+
 def _check_same_platform(platform: Platform, elements) -> None:
     for e in elements:
         if e.platform != platform:
@@ -53,7 +59,7 @@ def ssp_decide(
 
     witness = search(0, platform.identity())
     if witness is not None:
-        assert _ordered_power_product(platform, items, witness) == target
+        _recheck(_ordered_power_product(platform, items, witness) == target, "ssp")
     return witness
 
 
@@ -88,7 +94,7 @@ def kp_decide_bounded(
         for i, e in enumerate(vector):
             value = platform.multiply(value, powers[i][e])
         if value == target:
-            assert _ordered_power_product(platform, items, vector) == target
+            _recheck(_ordered_power_product(platform, items, vector) == target, "kp")
             return vector
     return None
 
@@ -121,7 +127,7 @@ def smp_decide_bounded(
                 check = identity
                 for j in ns:
                     check = platform.multiply(check, items[j])
-                assert check == target
+                _recheck(check == target, "smp")
                 return ns
             queue.append((nv, ns))
     return None
@@ -227,7 +233,10 @@ def twisted_conjugacy_bounded(
         if examined > ENUM_GUARD:
             raise BoundError("word enumeration exceeds the guard")
         if multiply(uw, phi_w) == multiply(psi_w, vw):
-            assert multiply(uw, apply_map(phi, w)) == multiply(apply_map(psi, w), vw)
+            _recheck(
+                multiply(uw, apply_map(phi, w)) == multiply(apply_map(psi, w), vw),
+                "twisted",
+            )
             return w
         if len(w) >= len_bound:
             continue
@@ -262,7 +271,7 @@ def factorization_decide_bounded(
         hit = b_by_key.get(platform.serialize_element(needed))
         if hit is not None:
             b_val, b_expr = hit
-            assert platform.multiply(a_val, b_val) == w
+            _recheck(platform.multiply(a_val, b_val) == w, "factor")
             return a_expr, b_expr
     return None
 

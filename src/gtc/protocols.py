@@ -483,14 +483,31 @@ class InnerAutomorphism:
     def apply(self, e: Element) -> Element:
         return self.platform.multiply(self.platform.multiply(self.h_inv, e), self.h)
 
-    def apply_power(self, e: Element, k: int) -> Element:
-        """phi^k(e) = h^-k e h^k, via binary powering of h."""
-        if k == 0:
-            return e
-        hk = square_and_multiply(self.platform, self.h, k)
-        return self.platform.multiply(
-            self.platform.multiply(self.platform.invert(hk), e), hk
-        )
+    def semidirect_powers(self, g: Element):
+        """power(m) -> (first component of (g, phi)^m, phi^m).
+
+        The first component is h^-m (hg)^m: two square-and-multiply runs,
+        one inversion and one product, so O(log m) group operations.
+        phi^m is conjugation by the h^m computed on the way.  Warns when h
+        and hg commute, because the shared key is then the product of the
+        two transmissions.
+        """
+        pf, h = self.platform, self.h
+        hg = pf.multiply(h, g)
+        if pf.multiply(h, hg) == pf.multiply(hg, h):
+            warnings.warn(
+                "h and hg commute; the shared key is the product of the two "
+                "transmissions and offers no security",
+                stacklevel=3,
+            )
+
+        def power(m: int):
+            hm = square_and_multiply(pf, h, m)
+            hm_inv = pf.invert(hm)
+            first = pf.multiply(hm_inv, square_and_multiply(pf, hg, m))
+            return first, lambda e: pf.multiply(pf.multiply(hm_inv, e), hm)
+
+        return power
 
 
 class FreeEndomorphism:
@@ -507,24 +524,26 @@ class FreeEndomorphism:
 
         return self.platform.element(apply_map(self.map, e.payload))
 
-    def apply_power(self, e: Element, k: int) -> Element:
-        out = e
-        for _ in range(k):
-            out = self.apply(out)
-        return out
+    def semidirect_powers(self, g: Element):
+        """power(m) -> (phi^{m-1}(g) ... phi(g) g, phi^m), in O(m) steps."""
+
+        def apply_m(e: Element, m: int) -> Element:
+            for _ in range(m):
+                e = self.apply(e)
+            return e
+
+        def power(m: int):
+            acc = g
+            for _ in range(m - 1):
+                acc = self.platform.multiply(self.apply(acc), g)
+            return acc, lambda e: apply_m(e, m)
+
+        return power
 
 
 def inner_automorphism(platform: Platform, h: Element) -> InnerAutomorphism:
     """Endomorphism spec for conjugation by h; SetupError if h is singular."""
     return InnerAutomorphism(platform, h)
-
-
-def _semidirect_transmission(phi, g: Element, m: int) -> Element:
-    """First component of (g, phi)^m: phi^{m-1}(g) ... phi(g) g."""
-    acc = g
-    for _ in range(m - 1):
-        acc = phi.platform.multiply(phi.apply(acc), g)
-    return acc
 
 
 def semidirect_exchange(
@@ -545,22 +564,15 @@ def semidirect_exchange(
         m = rng.randint(*exp_range)
     if n is None:
         n = rng.randint(*exp_range)
-    if isinstance(phi, InnerAutomorphism):
-        hg = platform.multiply(phi.h, g)
-        if platform.multiply(phi.h, hg) == platform.multiply(hg, phi.h):
-            warnings.warn(
-                "h and hg commute; the shared key is the product of the two "
-                "transmissions and offers no security",
-                stacklevel=2,
-            )
-    a_msg = _semidirect_transmission(phi, g, m)
-    b_msg = _semidirect_transmission(phi, g, n)
+    power = phi.semidirect_powers(g)
+    a_msg, phi_m = power(m)
+    b_msg, phi_n = power(n)
     t = Transcript("semidirect", platform)
     t.meta["g"] = platform.serialize_element(g)
     if isinstance(phi, InnerAutomorphism):
         t.meta["h"] = platform.serialize_element(phi.h)
     t.add("Alice", "first-A", a_msg)
     t.add("Bob", "first-B", b_msg)
-    key_alice = platform.multiply(phi.apply_power(b_msg, m), a_msg)
-    key_bob = platform.multiply(phi.apply_power(a_msg, n), b_msg)
+    key_alice = platform.multiply(phi_m(b_msg), a_msg)
+    key_bob = platform.multiply(phi_n(a_msg), b_msg)
     return SessionOutcome(t, key_alice, key_bob, {"m": m, "n": n})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MoveError
 from .tietze import Presentation
-from .words import Word, is_cyclic_rotation_of_relator, multiply, invert, free_reduce
+from .words import Word, is_cyclic_rotation_of_relator, multiply, invert
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,3 @@ def random_substitution(
     if not occurrences:
         return None
     return occurrences[rng.randrange(len(occurrences))]
-
-
-def represents_identity_freely(w: Word) -> bool:
-    return len(free_reduce(w).letters) == 0

@@ -67,6 +67,17 @@ def test_invalid_protocol_platform_combination_exits_2(capsys):
     assert code == 2
 
 
+def test_non_prime_modulus_exits_2(capsys):
+    for argv in (
+        ["simulate", "--protocol", "dh", "--p", "24"],
+        ["simulate", "--protocol", "semidirect", "--platform", "matrix", "--p", "24"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "24 is not prime" in err
+        assert "Traceback" not in err
+
+
 def test_attack_roundtrip(tmp_path, capsys):
     transcript = tmp_path / "dh.txt"
     run(["simulate", "--protocol", "dh", "--p", "23", "--g", "5", "--seed", "2",

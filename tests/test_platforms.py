@@ -1,8 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtc.errors import RankError
+from gtc.errors import ParseError, RankError, SetupError
 from gtc.platforms import (
     CyclicModP,
     DirectFreePlatform,
@@ -221,3 +224,77 @@ def test_cyclic_order_recorded():
     assert cp.order_of_g == 22
     assert CyclicModP(23, 1).order_of_g == 1
     assert CyclicModP(23, 22).order_of_g == 2
+
+
+def test_non_prime_modulus_is_a_setup_error():
+    with pytest.raises(SetupError):
+        CyclicModP(24, 5)
+    with pytest.raises(SetupError):
+        CyclicModP(23, 23)
+    with pytest.raises(SetupError):
+        MatrixModP(3, 24)
+    with pytest.raises(SetupError):
+        MatrixModP(0, 5)
+    for spec in ("cyclic 24 5", "cyclic 23 0", "matrix 3 24", "matrix 0 5"):
+        with pytest.raises(ParseError):
+            platform_from_spec(spec)
+
+
+# --- matrix kernels against naive oracles ----------------------------------------
+
+def naive_mat_mul(a, b, p):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(v % p for v in row) for row in out)
+
+
+def leibniz_det(m, p):
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total % p
+
+
+@st.composite
+def matrices_mod_p(draw, count):
+    """``count`` n x n matrices over Z_p; a repeated row sometimes forces
+    singularity, so both mat_inv outcomes occur for every p."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from((2, 5, 7, 1009)))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    mats = []
+    for _ in range(count):
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            rows[-1] = list(rows[0])
+        mats.append(tuple(tuple(r) for r in rows))
+    return p, mats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices_mod_p(2))
+def test_mat_mul_matches_triple_loop(case):
+    p, (a, b) = case
+    assert mat_mul(a, b, p) == naive_mat_mul(a, b, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices_mod_p(1))
+def test_mat_inv_is_an_inverse_exactly_when_nonsingular(case):
+    p, (m,) = case
+    inv = mat_inv(m, p)
+    if leibniz_det(m, p) == 0:
+        assert inv is None
+    else:
+        eye = mat_identity(len(m))
+        assert mat_mul(m, inv, p) == eye
+        assert mat_mul(inv, m, p) == eye

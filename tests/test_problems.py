@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +427,31 @@ def test_parse_instance_errors():
         parse_instance("platform: free 2\n")
     with pytest.raises(ParseError):
         parse_instance("problem: ssp\nbad line\n")
+
+
+# --- witness re-checks -----------------------------------------------------------
+
+TAMPERED_SOLVE = textwrap.dedent("""
+    import sys
+    from gtc import cli, problems
+
+    print(f"optimize={sys.flags.optimize}")
+    # a broken evaluator: every selection evaluates to the identity
+    problems._ordered_power_product = lambda platform, items, exponents: platform.identity()
+    sys.exit(cli.main(["solve", "ssp", "--instance", sys.argv[1]]))
+""")
+
+
+def test_witness_recheck_survives_python_O(tmp_path):
+    instance = tmp_path / "ssp.txt"
+    instance.write_text("problem: ssp\nplatform: free 1\nelem: 1\nelem: 1,1\ntarget: 1,1,1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_SOLVE, str(instance)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stdout.startswith("optimize=1")
+    assert proc.returncode == 1
+    assert "AssertionError: ssp witness fails its re-check" in proc.stderr

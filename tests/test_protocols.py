@@ -13,6 +13,7 @@ from gtc.platforms import (
     square_and_multiply,
 )
 from gtc.protocols import (
+    FreeEndomorphism,
     aag_exchange,
     centralizer_exchange,
     commutative_subgroups_exchange,
@@ -30,6 +31,7 @@ from gtc.protocols import (
     twisted_exchange,
 )
 from gtc.rng import substream
+from gtc.words import Word
 
 
 def cyclic23():
@@ -321,6 +323,78 @@ def test_semidirect_free_endomorphism():
     g = fp.element(Word((1,), 2))
     out = semidirect_exchange(fp, g, phi, random.Random(3), m=3, n=2)
     assert out.agreed
+
+
+def transmission_oracle(phi, g, m):
+    """The defining product phi^{m-1}(g) ... phi(g) g, one factor at a time."""
+    factors = [g]
+    for _ in range(m - 1):
+        factors.append(phi.apply(factors[-1]))
+    out = phi.platform.identity()
+    for f in reversed(factors):
+        out = phi.platform.multiply(out, f)
+    return out
+
+
+def apply_times(phi, e, m):
+    for _ in range(m):
+        e = phi.apply(e)
+    return e
+
+
+def test_semidirect_powers_match_the_defining_product():
+    platform, g, h = semidirect_setup()
+    fp = FreePlatform(2)
+    specs = [
+        (inner_automorphism(platform, h), g),
+        (FreeEndomorphism(fp, (Word((1, 2), 2), Word((2,), 2))), fp.element(Word((1,), 2))),
+    ]
+    for phi, base in specs:
+        power = phi.semidirect_powers(base)
+        probe = phi.platform.multiply(base, base)
+        for m in range(1, 61):
+            first, phi_m = power(m)
+            assert first == transmission_oracle(phi, base, m), (type(phi).__name__, m)
+            assert phi_m(probe) == apply_times(phi, probe, m), (type(phi).__name__, m)
+
+
+def counting_matrix_platform(n, p):
+    """A MatrixModP that tallies every multiply and invert it performs."""
+    counts = {"ops": 0}
+
+    class CountingMatrixModP(MatrixModP):
+        def multiply(self, a, b):
+            counts["ops"] += 1
+            return super().multiply(a, b)
+
+        def invert(self, a):
+            counts["ops"] += 1
+            return super().invert(a)
+
+    return CountingMatrixModP(n, p), counts
+
+
+def test_semidirect_transmission_cost_is_logarithmic():
+    platform, counts = counting_matrix_platform(3, 1009)
+    rng = random.Random(41)
+    g, h = platform.random_element(rng), platform.random_element(rng)
+    phi = inner_automorphism(platform, h)
+    power = phi.semidirect_powers(g)
+    # small exponents first, so a linear-time transmission fails fast
+    exponents = [1000, (1 << 20) + 1] + [rng.getrandbits(128) | (1 << 127) for _ in range(5)]
+    for m in exponents:
+        counts["ops"] = 0
+        first, _ = power(m)
+        assert counts["ops"] <= 4 * m.bit_length() + 4
+        hm = square_and_multiply(platform, h, m)
+        hg_m = square_and_multiply(platform, platform.multiply(h, g), m)
+        assert first == platform.multiply(platform.invert(hm), hg_m)
+    m, n = rng.getrandbits(128), rng.getrandbits(128)
+    counts["ops"] = 0
+    out = semidirect_exchange(platform, g, phi, rng, m=m, n=n)
+    assert out.agreed
+    # two transmissions, the hg/commutation check (3) and two keys (2 each)
+    assert counts["ops"] <= 4 * m.bit_length() + 4 + 4 * n.bit_length() + 4 + 7
 
 
 def test_inner_automorphism_rejects_singular():
