@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import BoundError, ParseError, RankError
 from .platforms import Element, Platform, SubgroupGens, platform_from_spec
 from .tietze import GenMap, apply_map
-from .words import Word, empty_word, multiply, parse_word
+from .words import Word, empty_word, inverse_letters, multiply, parse_word
 
 ENUM_GUARD = 1 << 24
 
@@ -178,9 +178,9 @@ def gpcp_bounded_search(
     for i in range(1, k + 1):
         subs[i] = u[i - 1], v[i - 1]
         if group_mode:
-            inv_u = tuple(-l for l in reversed(u[i - 1].letters))
-            inv_v = tuple(-l for l in reversed(v[i - 1].letters))
-            subs[-i] = Word(inv_u, rank), Word(inv_v, rank)
+            subs[-i] = tuple(
+                Word(inverse_letters(x[i - 1].letters), rank) for x in (u, v)
+            )
     letters = _term_letters(k, group_mode)
     start = (empty_word(max(k, 1)), empty_word(rank), empty_word(rank))
     queue = deque([start])

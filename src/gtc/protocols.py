@@ -193,6 +193,15 @@ def check_commutative(a: SubgroupGens) -> None:
 # ---------------------------------------------------------------------------
 # cyclic-group protocols
 
+def _exponent_order(platform: CyclicModP) -> int:
+    """Order of g, the exclusive bound of the secret exponents 1..order-1;
+    SetupError when g has order 1 and no such exponent exists."""
+    order = platform.order_of_g
+    if order < 2:
+        raise SetupError(f"generator {platform.g} has order 1 mod {platform.p}")
+    return order
+
+
 def dh_exchange(
     platform: CyclicModP,
     rng: random.Random,
@@ -200,7 +209,7 @@ def dh_exchange(
     b: Optional[int] = None,
 ) -> SessionOutcome:
     """Classic two-pass exchange over the cyclic platform."""
-    order = platform.order_of_g
+    order = _exponent_order(platform)
     if a is None:
         a = rng.randrange(1, order)
     if b is None:
@@ -220,8 +229,7 @@ def elgamal_encrypt(
     platform: CyclicModP, pk: Element, m: Element, rng: random.Random
 ) -> tuple[Element, Element]:
     """Returns the two-element ciphertext (m * pk^b, g^b)."""
-    order = platform.order_of_g
-    b = rng.randrange(1, order)
+    b = rng.randrange(1, _exponent_order(platform))
     g = platform.generators()[0]
     return (
         platform.multiply(m, square_and_multiply(platform, pk, b)),
@@ -242,8 +250,7 @@ def elgamal_session(
 ) -> SessionOutcome:
     """Keygen + encrypt + decrypt roundtrip; keys agree iff decryption is
     correct (key_bob is the plaintext, key_alice the decryption)."""
-    order = platform.order_of_g
-    a = rng.randrange(1, order)
+    a = rng.randrange(1, _exponent_order(platform))
     g = platform.generators()[0]
     pk = square_and_multiply(platform, g, a)
     if m is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MoveError
 from .tietze import Presentation
-from .words import Word, is_cyclic_rotation_of_relator, multiply, invert
+from .words import Word, inverse_letters, invert, is_cyclic_rotation_of_relator, multiply
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class PairInsert:
     def apply(self, w: Word, pres: Presentation) -> Word:
         if not 0 <= self.pos <= len(w):
             raise MoveError(f"insert position {self.pos} out of range")
-        h_inv = tuple(-l for l in reversed(self.h.letters))
+        h_inv = inverse_letters(self.h.letters)
         return Word(
             w.letters[: self.pos] + self.h.letters + h_inv + w.letters[self.pos:],
             w.rank,
@@ -50,9 +50,9 @@ class RelatorInsert:
             raise MoveError(f"no relator with index {self.rel_idx}")
         r = pres.relators[self.rel_idx].letters
         if self.inverted:
-            r = tuple(-l for l in reversed(r))
+            r = inverse_letters(r)
         c = self.conj.letters
-        c_inv = tuple(-l for l in reversed(c))
+        c_inv = inverse_letters(c)
         return Word(
             w.letters[: self.pos] + c_inv + r + c + w.letters[self.pos:], w.rank
         )
@@ -115,10 +115,10 @@ def random_substitution(
         return None
     occurrences = []
     for inverted in (False, True):
-        letters = r.letters if not inverted else tuple(-l for l in reversed(r.letters))
+        letters = r.letters if not inverted else inverse_letters(r.letters)
         for split in range(1, len(letters)):
             u, v = letters[:split], letters[split:]
-            repl = tuple(-l for l in reversed(v))
+            repl = inverse_letters(v)
             for pos in range(len(w) - len(u) + 1):
                 if w.letters[pos: pos + len(u)] == u:
                     occurrences.append(

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import MoveError, ParseError, RankError
 from .words import (
     Word,
     free_reduce,
+    inverse_letters,
     invert,
     multiply,
     parse_word,
+    random_reduced_word,
     serialize_word,
 )
 
@@ -42,6 +45,16 @@ class Presentation:
         object.__setattr__(
             self, "relators", tuple(free_reduce(r) for r in self.relators)
         )
+
+    @classmethod
+    def _trusted(cls, n_gens: int, relators: tuple[Word, ...]) -> Presentation:
+        """Unchecked constructor for moves, whose relators are reduced
+        words of rank ``n_gens`` by construction."""
+        p = object.__new__(cls)
+        d = p.__dict__
+        d["n_gens"] = n_gens
+        d["relators"] = relators
+        return p
 
     def total_length(self) -> int:
         return sum(len(r) for r in self.relators)
@@ -66,33 +79,51 @@ class GenMap:
             if img.rank != self.to_gens:
                 raise RankError("image rank does not match target alphabet")
 
+    @classmethod
+    def _trusted(cls, from_gens: int, to_gens: int, images: tuple[Word, ...]) -> GenMap:
+        """Unchecked constructor: one image of rank ``to_gens`` per source
+        generator, by construction."""
+        m = object.__new__(cls)
+        d = m.__dict__
+        d["from_gens"] = from_gens
+        d["to_gens"] = to_gens
+        d["images"] = images
+        return m
+
+
+@lru_cache(maxsize=128)
+def _generators(n_gens: int, rank: int) -> tuple[Word, ...]:
+    """The one-letter words x_1..x_n_gens over an alphabet of ``rank``
+    (immutable, so shared between calls)."""
+    return tuple([Word._trusted((i,), rank) for i in range(1, n_gens + 1)])
+
 
 def identity_map(n_gens: int) -> GenMap:
-    return GenMap(n_gens, n_gens, tuple(Word((i,), n_gens) for i in range(1, n_gens + 1)))
+    return GenMap._trusted(n_gens, n_gens, _generators(n_gens, n_gens))
 
 
 def apply_map(m: GenMap, w: Word) -> Word:
     """Substitute images for letters and freely reduce."""
     if w.rank > m.from_gens:
         raise RankError(f"word rank {w.rank} exceeds map domain {m.from_gens}")
+    images = m.images
     letters: list[int] = []
     for letter in w.letters:
-        img = m.images[abs(letter) - 1]
         if letter > 0:
-            letters.extend(img.letters)
+            letters.extend(images[letter - 1].letters)
         else:
-            letters.extend(-l for l in reversed(img.letters))
-    return free_reduce(Word(tuple(letters), m.to_gens))
+            letters.extend(inverse_letters(images[-letter - 1].letters))
+    return free_reduce(Word._trusted(tuple(letters), m.to_gens))
 
 
 def compose_maps(first: GenMap, second: GenMap) -> GenMap:
     """The map 'apply first, then second'."""
     if first.to_gens != second.from_gens:
         raise RankError("maps do not compose")
-    return GenMap(
+    return GenMap._trusted(
         first.from_gens,
         second.to_gens,
-        tuple(apply_map(second, img) for img in first.images),
+        tuple([apply_map(second, img) for img in first.images]),
     )
 
 
@@ -116,18 +147,13 @@ class T1Move:
         if self.s.rank != p.n_gens:
             raise MoveError("defining word must be over the current alphabet")
         n = p.n_gens + 1
-        lift = GenMap(
-            p.n_gens, n, tuple(Word((i,), n) for i in range(1, p.n_gens + 1))
-        )
-        s_new = Word(self.s.letters, n)
-        def_rel = multiply(Word((n,), n), invert(s_new))
-        new = Presentation(n, tuple(apply_map(lift, r) for r in p.relators) + (def_rel,))
-        fwd = lift
-        bwd = GenMap(
-            n,
-            p.n_gens,
-            tuple(Word((i,), p.n_gens) for i in range(1, p.n_gens + 1))
-            + (free_reduce(self.s),),
+        # the old relators and generators, re-ranked into the larger alphabet
+        lifted = tuple([Word._trusted(r.letters, n) for r in p.relators])
+        fwd = GenMap._trusted(p.n_gens, n, _generators(p.n_gens, n))
+        def_rel = multiply(Word._trusted((n,), n), invert(Word._trusted(self.s.letters, n)))
+        new = Presentation._trusted(n, lifted + (def_rel,))
+        bwd = GenMap._trusted(
+            n, p.n_gens, _generators(p.n_gens, p.n_gens) + (free_reduce(self.s),)
         )
         return new, fwd, bwd
 
@@ -149,7 +175,7 @@ class T2Move:
         r = p.relators[self.rel]
         if not r.letters or r.letters[0] != self.gen:
             raise MoveError("relator is not of the form y*s^-1 for the chosen generator")
-        tail = Word(r.letters[1:], p.n_gens)
+        tail = Word._trusted(r.letters[1:], p.n_gens)
         if any(abs(l) == self.gen for l in tail.letters):
             raise MoveError("defining word mentions the cancelled generator")
         for i, other in enumerate(p.relators):
@@ -158,29 +184,31 @@ class T2Move:
         s = invert(tail)  # y = s in the group
 
         def drop(wd: Word) -> Word:
+            # renumber past the cancelled generator; keeps words reduced
             letters = tuple(
                 l - 1 if l > self.gen else (l + 1 if l < -self.gen else l)
                 for l in wd.letters
             )
-            return Word(letters, p.n_gens - 1)
+            return Word._trusted(letters, p.n_gens - 1)
 
         new_rels = tuple(
             drop(r2) for i, r2 in enumerate(p.relators) if i != self.rel
         )
-        new = Presentation(p.n_gens - 1, new_rels)
-        fwd_images = []
-        for i in range(1, p.n_gens + 1):
-            if i == self.gen:
-                fwd_images.append(drop(s))
-            else:
-                fwd_images.append(drop(Word((i,), p.n_gens)))
-        fwd = GenMap(p.n_gens, p.n_gens - 1, tuple(fwd_images))
+        new = Presentation._trusted(p.n_gens - 1, new_rels)
+        fwd_images = tuple(
+            drop(s if i == self.gen else Word._trusted((i,), p.n_gens))
+            for i in range(1, p.n_gens + 1)
+        )
+        fwd = GenMap._trusted(p.n_gens, p.n_gens - 1, fwd_images)
         bwd_images = tuple(
-            Word((i if i < self.gen else i + 1,), p.n_gens)
+            Word._trusted((i if i < self.gen else i + 1,), p.n_gens)
             for i in range(1, p.n_gens)
         )
-        bwd = GenMap(p.n_gens - 1, p.n_gens, bwd_images)
+        bwd = GenMap._trusted(p.n_gens - 1, p.n_gens, bwd_images)
         return new, fwd, bwd
+
+
+T3_ARITY = {"swap": 2, "invert": 1, "lmul": 2, "rmul": 2}
 
 
 @dataclass(frozen=True)
@@ -192,41 +220,51 @@ class T3Move:
       ("invert", i)         x_i -> x_i^-1
       ("lmul", i, j)        x_i -> x_j^sign(j) * x_i   (j signed, |j| != i)
       ("rmul", i, j)        x_i -> x_i * x_j^sign(j)
+    Every index but the signed j is positive.
     """
 
     op: tuple
 
+    def check_shape(self) -> None:
+        """Raise MoveError unless op names a known kind with the right
+        number of indices and the signs above; the alphabet is not needed."""
+        kind = self.op[0] if self.op else None
+        if kind not in T3_ARITY:
+            raise MoveError(f"unknown automorphism op {kind!r}")
+        args = self.op[1:]
+        if len(args) != T3_ARITY[kind]:
+            raise MoveError(f"wrong number of generator indices in {self.op}")
+        if args[0] < 1 or (kind == "swap" and args[1] < 1):
+            raise MoveError(f"generator indices of {kind} must be positive in {self.op}")
+
     def _auto(self, n: int, inverse: bool) -> GenMap:
-        images = [Word((i,), n) for i in range(1, n + 1)]
+        images = list(_generators(n, n))
         kind = self.op[0]
         if kind == "swap":
             _, i, j = self.op
-            images[i - 1], images[j - 1] = Word((j,), n), Word((i,), n)
+            images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
         elif kind == "invert":
             _, i = self.op
-            images[i - 1] = Word((-i,), n)
-        elif kind in ("lmul", "rmul"):
+            images[i - 1] = Word._trusted((-i,), n)
+        else:
             _, i, j = self.op
             jj = -j if inverse else j
             if kind == "lmul":
-                images[i - 1] = Word((jj, i), n)
+                images[i - 1] = Word._trusted((jj, i), n)
             else:
-                images[i - 1] = Word((i, jj), n)
-        else:
-            raise MoveError(f"unknown automorphism op {kind!r}")
-        return GenMap(n, n, tuple(images))
+                images[i - 1] = Word._trusted((i, jj), n)
+        return GenMap._trusted(n, n, tuple(images))
 
     def apply(self, p: Presentation) -> tuple[Presentation, GenMap, GenMap]:
-        kind = self.op[0]
+        self.check_shape()
         n = p.n_gens
-        idxs = [abs(v) for v in self.op[1:]]
-        if any(not 1 <= v <= n for v in idxs):
+        if any(not 1 <= abs(v) <= n for v in self.op[1:]):
             raise MoveError(f"generator index out of range in {self.op}")
-        if kind in ("lmul", "rmul") and abs(self.op[2]) == self.op[1]:
+        if self.op[0] in ("lmul", "rmul") and abs(self.op[2]) == self.op[1]:
             raise MoveError("multiply move needs two distinct generators")
         fwd = self._auto(n, inverse=False)
         bwd = self._auto(n, inverse=True)
-        new = Presentation(n, tuple(apply_map(fwd, r) for r in p.relators))
+        new = Presentation._trusted(n, tuple([apply_map(fwd, r) for r in p.relators]))
         return new, fwd, bwd
 
 
@@ -281,14 +319,14 @@ class T4Move:
             k = self.arg
             if k is None or not 1 <= k <= n:
                 raise MoveError("conjugation action needs a generator index")
-            x = Word((k,), n)
+            x = Word._trusted((k,), n)
             if self.action == "conj":
                 new_r = multiply(multiply(invert(x), r), x)
             else:
                 new_r = multiply(multiply(x, r), invert(x))
         rels = list(p.relators)
         rels[self.i] = new_r
-        new = Presentation(n, tuple(rels))
+        new = Presentation._trusted(n, tuple(rels))
         return new, identity_map(n), identity_map(n)
 
 
@@ -316,35 +354,60 @@ def t4p_modify(p: Presentation, i: int, action: str, arg: Optional[int] = None):
 
 @dataclass(frozen=True)
 class TietzeChain:
+    """Moves from ``start`` to ``end``; ``steps`` holds each move's
+    (forward, backward) generator maps.
+
+    ``phi`` (start -> end) and ``phi_inv`` (end -> start) are composed
+    from ``steps`` on first read and cached, so a chain whose maps are
+    never read costs no composition.
+    """
+
     start: Presentation
     moves: tuple[Move, ...]
     end: Presentation
-    phi: GenMap
-    phi_inv: GenMap
+    steps: tuple[tuple[GenMap, GenMap], ...]
+
+    @cached_property
+    def phi(self) -> GenMap:
+        phi = identity_map(self.start.n_gens)
+        for fwd, _ in self.steps:
+            phi = compose_maps(phi, fwd)
+        return phi
+
+    @cached_property
+    def phi_inv(self) -> GenMap:
+        phi_inv = identity_map(self.start.n_gens)
+        for _, bwd in self.steps:
+            phi_inv = compose_maps(bwd, phi_inv)
+        return phi_inv
 
 
 class ChainBuilder:
-    """Accumulates moves while composing phi and phi_inv incrementally."""
+    """Accumulates moves and their generator maps."""
 
     def __init__(self, start: Presentation) -> None:
         self.start = start
         self.current = start
         self.moves: list[Move] = []
-        self.phi = identity_map(start.n_gens)
-        self.phi_inv = identity_map(start.n_gens)
+        self.steps: list[tuple[GenMap, GenMap]] = []
 
     def apply(self, move: Move) -> Presentation:
         new, fwd, bwd = move.apply(self.current)
         self.moves.append(move)
+        self.steps.append((fwd, bwd))
         self.current = new
-        self.phi = compose_maps(self.phi, fwd)
-        self.phi_inv = compose_maps(bwd, self.phi_inv)
         return new
 
     def chain(self) -> TietzeChain:
-        return TietzeChain(
-            self.start, tuple(self.moves), self.current, self.phi, self.phi_inv
-        )
+        return TietzeChain(self.start, tuple(self.moves), self.current, tuple(self.steps))
+
+    @property
+    def phi(self) -> GenMap:
+        return self.chain().phi
+
+    @property
+    def phi_inv(self) -> GenMap:
+        return self.chain().phi_inv
 
 
 def compose_chain(chain: TietzeChain) -> tuple[GenMap, GenMap]:
@@ -357,7 +420,8 @@ def compose_chain(chain: TietzeChain) -> tuple[GenMap, GenMap]:
         builder.apply(move)
     if builder.current != chain.end:
         raise MoveError("chain replay does not reproduce the end presentation")
-    return builder.phi, builder.phi_inv
+    replayed = builder.chain()
+    return replayed.phi, replayed.phi_inv
 
 
 def discard_relators(p: Presentation, keep) -> Presentation:
@@ -367,7 +431,7 @@ def discard_relators(p: Presentation, keep) -> Presentation:
         raise MoveError("keep set must be nonempty")
     if not keep_set <= set(range(len(p.relators))):
         raise MoveError("keep set references missing relators")
-    return Presentation(
+    return Presentation._trusted(
         p.n_gens, tuple(r for i, r in enumerate(p.relators) if i in keep_set)
     )
 
@@ -428,7 +492,7 @@ def break_relators(p: Presentation, max_len: int) -> TietzeChain:
                     projected += _max_shrink_moves(len(cur.relators[j]), max_len, cap)
             if projected > budget:
                 split = p_limit
-        s = Word(r.letters[:split], cur.n_gens)
+        s = Word._trusted(r.letters[:split], cur.n_gens)
         builder.apply(T1Move(s))
         def_index = len(builder.current.relators) - 1
         builder.apply(T4Move(i, "mul_left", def_index))
@@ -446,8 +510,6 @@ def random_move(
     max_relator_len: int = 24,
 ) -> Move:
     """A random T1 / T3 / T4' move that is legal on ``p``."""
-    from .words import random_reduced_word
-
     kinds = ["t1", "t3"]
     if len(p.relators) >= 1:
         kinds.append("t4")
@@ -547,8 +609,9 @@ def parse_move(line: str, rank: int) -> Move:
         if parts[0] == "t2":
             return T2Move(int(parts[1]) - 1, int(parts[2]))
         if parts[0] == "t3":
-            op = (parts[1],) + tuple(int(v) for v in parts[2:])
-            return T3Move(op)
+            move = T3Move((parts[1],) + tuple(int(v) for v in parts[2:]))
+            move.check_shape()
+            return move
         if parts[0] == "t4":
             i = int(parts[1]) - 1
             action = parts[2]
@@ -556,18 +619,13 @@ def parse_move(line: str, rank: int) -> Move:
             if len(parts) > 3:
                 arg = int(parts[3]) - 1 if action.startswith("mul") else int(parts[3])
             return T4Move(i, action, arg)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, MoveError) as exc:
         raise ParseError(f"bad move line {line!r}: {exc}") from None
     raise ParseError(f"unknown move kind {parts[0]!r}")
 
 
 def format_chain(chain: TietzeChain) -> str:
-    lines = []
-    current = chain.start
-    for move in chain.moves:
-        lines.append(format_move(move))
-        current = move.apply(current)[0]
-    return "\n".join(lines)
+    return "\n".join(format_move(move) for move in chain.moves)
 
 
 def replay_chain_file(start: Presentation, text: str) -> TietzeChain:

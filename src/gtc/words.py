@@ -30,6 +30,16 @@ class Word:
             if letter == 0 or abs(letter) > self.rank:
                 raise RankError(f"letter {letter} outside alphabet of rank {self.rank}")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], rank: int) -> Word:
+        """Unchecked constructor for internal code whose letters are in
+        range by construction; everything else goes through ``Word(...)``."""
+        w = object.__new__(cls)
+        d = w.__dict__
+        d["letters"] = letters
+        d["rank"] = rank
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -40,6 +50,11 @@ class Word:
 def word(letters, rank: int) -> Word:
     """Build a Word from any iterable of letters."""
     return Word(tuple(letters), rank)
+
+
+def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of the formal inverse: reversed, each sign flipped."""
+    return tuple([-l for l in reversed(letters)])
 
 
 def empty_word(rank: int) -> Word:
@@ -58,7 +73,7 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(tuple(stack), w.rank)
+    return Word._trusted(tuple(stack), w.rank)
 
 
 def _require_same_rank(a: Word, b: Word) -> None:
@@ -69,27 +84,27 @@ def _require_same_rank(a: Word, b: Word) -> None:
 def multiply(a: Word, b: Word) -> Word:
     """Reduced product ab."""
     _require_same_rank(a, b)
-    return free_reduce(Word(a.letters + b.letters, a.rank))
+    return free_reduce(Word._trusted(a.letters + b.letters, a.rank))
 
 
 def invert(w: Word) -> Word:
     """Reversed, sign-flipped, reduced inverse."""
-    return free_reduce(Word(tuple(-l for l in reversed(w.letters)), w.rank))
+    return free_reduce(Word._trusted(inverse_letters(w.letters), w.rank))
 
 
 def conjugate(w: Word, x: Word) -> Word:
     """w^x = x^-1 w x, reduced."""
     _require_same_rank(w, x)
-    inv_x = tuple(-l for l in reversed(x.letters))
-    return free_reduce(Word(inv_x + w.letters + x.letters, w.rank))
+    return free_reduce(
+        Word._trusted(inverse_letters(x.letters) + w.letters + x.letters, w.rank)
+    )
 
 
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x^-1 y^-1 x y, reduced."""
     _require_same_rank(x, y)
-    inv_x = tuple(-l for l in reversed(x.letters))
-    inv_y = tuple(-l for l in reversed(y.letters))
-    return free_reduce(Word(inv_x + inv_y + x.letters + y.letters, x.rank))
+    inv_xy = inverse_letters(y.letters + x.letters)
+    return free_reduce(Word._trusted(inv_xy + x.letters + y.letters, x.rank))
 
 
 def power(w: Word, n: int) -> Word:
@@ -166,11 +181,12 @@ def parse_word(text: str, rank: int) -> Word:
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse pairs from both ends of the reduced form."""
-    r = free_reduce(w)
-    letters = list(r.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters), w.rank)
+    letters = free_reduce(w).letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return Word._trusted(letters[i:j], w.rank)
 
 
 def is_cyclic_rotation_of_relator(candidate: Word, relator: Word) -> bool:

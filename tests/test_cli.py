@@ -269,3 +269,41 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     run(["simulate", "--protocol", "dh", "--out", str(f1)], capsys)
     run(["simulate", "--protocol", "dh", "--seed", "77", "--out", str(f2)], capsys)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_montecarlo_golden_pin(capsys):
+    code, out, _ = run(["montecarlo", "--trials", "400", "--seed", "11"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    for expected in ("eve-accuracy: 0.7175", "legit-accuracy: 1.0000",
+                     "case-1: 0.5500", "case-2: 0.1950", "case-3: 0.2550"):
+        assert expected in lines
+
+
+@pytest.mark.parametrize("move", ["t3 swap 1", "t3 invert 1 2", "t3 swap 1 -2"])
+def test_wp_decrypt_malformed_t3_move_exits_2(tmp_path, capsys, move):
+    pub, priv, ct = tmp_path / "pub.txt", tmp_path / "priv.txt", tmp_path / "ct.txt"
+    run(["wp-encrypt", "keygen", "--seed", "4", "--out-pub", str(pub),
+         "--out-priv", str(priv)], capsys)
+    run(["wp-encrypt", "encrypt", "--bit", "1", "--pub", str(pub), "--seed", "5",
+         "--out", str(ct)], capsys)
+    lines = priv.read_text().splitlines()
+    first_move = next(i for i, ln in enumerate(lines) if ln.startswith("move:"))
+    lines[first_move] = f"move: {move}"
+    priv.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        ["wp-encrypt", "decrypt", "--ct", str(ct), "--priv", str(priv)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_order_one_generator_exits_2(capsys):
+    for argv in (
+        ["simulate", "--protocol", "dh", "--p", "2", "--g", "1"],
+        ["simulate", "--protocol", "elgamal", "--p", "3", "--g", "1"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "order 1" in err
+

@@ -471,3 +471,13 @@ def test_transcript_parse_errors():
         parse_transcript("# protocol: dh\n# platform: cyclic 23 5\n2 Alice x 1\n")
     with pytest.raises(ParseError):
         parse_transcript("# protocol: dh\n# platform: cyclic 23 5\nbad line\n")
+
+
+def test_order_one_generator_is_a_setup_error():
+    for p in (2, 3):
+        platform = CyclicModP(p, 1)
+        with pytest.raises(SetupError):
+            dh_exchange(platform, random.Random(1))
+        with pytest.raises(SetupError):
+            elgamal_session(platform, random.Random(1))
+

@@ -1,8 +1,12 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtc.errors import MoveError, RankError
+from gtc import tietze
+from gtc.errors import MoveError, ParseError, RankError
 from gtc.homenc import worked_example_chain, worked_example_faithful, worked_example_presentation
 from gtc.platforms import SubgroupGens, eval_word
 from gtc.tietze import (
@@ -16,6 +20,7 @@ from gtc.tietze import (
     apply_map,
     break_relators,
     compose_chain,
+    compose_maps,
     discard_relators,
     format_chain,
     format_map,
@@ -25,6 +30,7 @@ from gtc.tietze import (
     parse_presentation,
     presentation,
     random_chain,
+    random_move,
     replay_chain_file,
     t1_introduce,
     t2_cancel,
@@ -317,9 +323,7 @@ def test_presentation_file_roundtrip():
 
 def test_compose_chain_detects_tampered_end():
     chain = worked_example_chain()
-    from gtc.tietze import TietzeChain
-
-    bad = TietzeChain(chain.start, chain.moves, chain.start, chain.phi, chain.phi_inv)
+    bad = dataclasses.replace(chain, end=chain.start)
     with pytest.raises(MoveError):
         compose_chain(bad)
 
@@ -329,3 +333,82 @@ def test_genmap_validation():
         GenMap(2, 2, (Word((1,), 2),))
     with pytest.raises(RankError):
         GenMap(1, 2, (Word((1,), 3),))
+
+
+def _assert_valid(w):
+    # internal words skip the public checks; re-run them
+    assert Word(w.letters, w.rank) == w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_chain_invariants_and_lazy_maps(data):
+    n = data.draw(st.integers(1, 3))
+    letter = st.integers(-n, n).filter(bool)
+    relators = data.draw(st.lists(st.lists(letter, max_size=8), max_size=3))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    builder = ChainBuilder(presentation(n, relators))
+    phi = phi_inv = identity_map(n)
+    for _ in range(data.draw(st.integers(0, 12))):
+        cur = builder.current
+        last = builder.moves[-1] if builder.moves else None
+        if isinstance(last, T1Move) and rng.random() < 0.4:
+            # the definitional relator of the newest generator cancels it
+            move = T2Move(len(cur.relators) - 1, cur.n_gens)
+        else:
+            move = random_move(cur, rng)
+        builder.apply(move)
+        fwd, bwd = builder.steps[-1]
+        phi = compose_maps(phi, fwd)
+        phi_inv = compose_maps(bwd, phi_inv)
+        q = builder.current
+        assert Presentation(q.n_gens, q.relators) == q
+        for m in (fwd, bwd):
+            assert GenMap(m.from_gens, m.to_gens, m.images) == m
+        for w in q.relators + fwd.images + bwd.images:
+            _assert_valid(w)
+    chain = builder.chain()
+    assert chain.phi == phi
+    assert chain.phi_inv == phi_inv
+    for w in chain.phi.images + chain.phi_inv.images:
+        _assert_valid(w)
+
+
+def test_chain_maps_are_composed_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(first, second):
+        calls.append(1)
+        return compose_maps(first, second)
+
+    monkeypatch.setattr(tietze, "compose_maps", counting)
+    chain = random_chain(presentation(2, [[1, 2, -1, -2]]), 8, random.Random(3))
+    assert calls == []
+    phi_inv = chain.phi_inv
+    assert len(calls) == len(chain.moves)
+    assert chain.phi_inv is phi_inv
+    assert len(calls) == len(chain.moves)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        ("swap", 1),
+        ("invert", 1, 2),
+        ("swap", 1, -2),
+        ("swap", -1, 2),
+        ("invert", -1),
+        ("lmul", -1, 2),
+        ("rmul", 1),
+        ("frob", 1),
+        (),
+    ],
+)
+def test_t3_rejects_malformed_ops(op):
+    with pytest.raises(MoveError):
+        T3Move(op).apply(example_g())
+    if op:
+        line = "t3 " + " ".join(str(v) for v in op)
+        with pytest.raises(ParseError):
+            parse_move(line, 3)
+
