@@ -9,16 +9,15 @@ session keys.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import AttackFailed, ParseError
-from .platforms import Element, Platform, SubgroupGens, eval_word
+from .errors import AttackFailed
+from .platforms import (Element, Platform, SubgroupGens, bfs_words, enumerate_subgroup_values,
+                        eval_word, letter_table, meet_in_middle, signed_letters)
+from .problems import _recheck
 from .protocols import Transcript, parse_gens
 from .words import Word
-
-ENUM_GUARD = 1 << 24
 
 
 @dataclass
@@ -59,14 +58,6 @@ def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int
     return DlogResult(None, bound)
 
 
-def expression_letters(k: int) -> list[int]:
-    """Deterministic letter order for expression enumeration."""
-    out = []
-    for i in range(1, k + 1):
-        out.extend((i, -i))
-    return out
-
-
 class CspResult(NamedTuple):
     expr: Optional[Word]
     candidates: int
@@ -79,65 +70,16 @@ def brute_force_csp(
     until u^x = v.  Complete up to the bound: any planted expression of
     length <= max_len is found (possibly as a shorter equivalent)."""
     platform = gens.platform
-    k = len(gens)
-    letters = expression_letters(k)
-    letter_element = {}
-    for i, g in enumerate(gens.gens, start=1):
-        letter_element[i] = g
-        letter_element[-i] = platform.invert(g)
+    multiply, table = platform.multiply, letter_table(gens)
+    conjugates = bfs_words(u, signed_letters(len(gens)),
+                           lambda x, l: multiply(multiply(table[-l], x), table[l]), max_len)
     candidates = 0
-    queue: deque[tuple[tuple[int, ...], Element]] = deque([((), u)])
-    while queue:
-        expr, value = queue.popleft()
-        candidates += 1
-        if candidates > ENUM_GUARD:
-            raise AttackFailed("conjugator search exceeded the enumeration guard")
+    for candidates, (expr, value) in enumerate(conjugates, start=1):
         if value == v:
-            return CspResult(Word(expr, k), candidates)
-        if len(expr) >= max_len:
-            continue
-        for letter in letters:
-            if expr and expr[-1] == -letter:
-                continue
-            g = letter_element[letter]
-            queue.append(
-                (expr + (letter,), platform.conjugate(value, g))
-            )
+            x = Word(expr, len(gens))
+            _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
+            return CspResult(x, candidates)
     return CspResult(None, candidates)
-
-
-def enumerate_subgroup_values(
-    gens: SubgroupGens, max_len: int
-) -> dict[str, tuple[Element, Word]]:
-    """Deduplicated subgroup elements reachable by expressions of bounded
-    length, keyed by serialization; keeps the first (shortest) expression."""
-    platform = gens.platform
-    k = len(gens)
-    letters = expression_letters(k)
-    letter_element = {}
-    for i, g in enumerate(gens.gens, start=1):
-        letter_element[i] = g
-        letter_element[-i] = platform.invert(g)
-    out: dict[str, tuple[Element, Word]] = {}
-    ident = platform.identity()
-    out[platform.serialize_element(ident)] = (ident, Word((), k))
-    frontier = [((), ident)]
-    for _ in range(max_len):
-        new_frontier = []
-        for expr, value in frontier:
-            for letter in letters:
-                if expr and expr[-1] == -letter:
-                    continue
-                nv = platform.multiply(value, letter_element[letter])
-                key = platform.serialize_element(nv)
-                if key not in out:
-                    if len(out) >= ENUM_GUARD:
-                        raise AttackFailed("subgroup enumeration exceeded the guard")
-                    ne = expr + (letter,)
-                    out[key] = (nv, Word(ne, k))
-                    new_frontier.append((ne, nv))
-        frontier = new_frontier
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +136,9 @@ def commutator_probe_factorization(w_prime: Element, b1: Element) -> CspInstance
     return CspInstance(u, v)
 
 
-def commutator_probe_csp(w_prime: Element, b: Element, w: Element) -> CspInstance:
-    """From w' = a^-1 w a: [w', b] b^-1 = (b^-w)^a, a CSP instance for a.
-    Several probes with different b may run in parallel."""
-    platform = w_prime.platform
-    u = platform.conjugate(platform.invert(b), w)
-    v = platform.multiply(platform.commutator(w_prime, b), platform.invert(b))
-    return CspInstance(u, v)
+# From w' = a^-1 w a the same probe [w', b] b^-1 = (b^-w)^a is a CSP
+# instance for a; several probes with different b may run in parallel.
+commutator_probe_csp = commutator_probe_decomposition
 
 
 def uniqueness_check(
@@ -208,17 +146,9 @@ def uniqueness_check(
 ) -> int:
     """Number of distinct element pairs (a1, a2) in <A> (expressions up to
     ``bound``) with a1 w target-equation a1 * w * a2 = target."""
-    platform = A.platform
     values = enumerate_subgroup_values(A, bound)
-    by_key = {key: val for key, (val, _) in values.items()}
-    count = 0
-    for _, (a1, _) in values.items():
-        needed = platform.multiply(
-            platform.invert(platform.multiply(a1, w)), target
-        )
-        if platform.serialize_element(needed) in by_key:
-            count += 1
-    return count
+    shifted = ((A.platform.multiply(a1, w), expr) for a1, expr in values.values())
+    return sum(1 for _ in meet_in_middle(shifted, values, target))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +177,7 @@ def length_based_attack(
     if len(observed) != len(B.gens):
         raise AttackFailed("transcript does not carry one conjugate per generator")
     a_conj = [platform.parse_element(p) for p in transcript.find_all("a")]
-    letters = expression_letters(len(A))
-    letter_element = {}
-    for i, g in enumerate(A.gens, start=1):
-        letter_element[i] = g
-        letter_element[-i] = platform.invert(g)
+    multiply, table = platform.multiply, letter_table(A)
     current = list(observed)
     base = list(B.gens)
     peeled: list[int] = []
@@ -260,9 +186,8 @@ def length_based_attack(
         cur_total = sum(_element_length(c) for c in current)
         best = None
         best_total = cur_total
-        for letter in letters:
-            g_inv = platform.invert(letter_element[letter])
-            trial = [platform.conjugate(c, g_inv) for c in current]
+        for letter in signed_letters(len(A)):
+            trial = [multiply(multiply(table[letter], c), table[-letter]) for c in current]
             total = sum(_element_length(t) for t in trial)
             if total < best_total:
                 best, best_total = (letter, trial), total
@@ -301,9 +226,7 @@ def length_based_attack(
 # transcript-level drivers (used by the CLI)
 
 def _transcript_subgroup(t: Transcript, name: str) -> SubgroupGens:
-    if name not in t.meta:
-        raise ParseError(f"transcript has no '{name}' header")
-    return parse_gens(t.platform, t.meta[name], t.meta.get(f"{name}-structure"))
+    return parse_gens(t.platform, t.header(name), t.meta.get(f"{name}-structure"))
 
 
 def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
@@ -325,7 +248,7 @@ def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
 
 def attack_ko_lee_csp(t: Transcript, bound: int) -> AttackReport:
     platform = t.platform
-    w = platform.parse_element(t.meta["w"])
+    w = platform.parse_element(t.header("w"))
     A = _transcript_subgroup(t, "A")
     wa = platform.parse_element(t.find("w^a"))
     wb = platform.parse_element(t.find("w^b"))
@@ -340,10 +263,10 @@ def attack_ko_lee_csp(t: Transcript, bound: int) -> AttackReport:
 
 def attack_decomposition_normal(t: Transcript) -> AttackReport:
     platform = t.platform
-    w = platform.parse_element(t.meta["w"])
+    w = platform.parse_element(t.header("w"))
     A = _transcript_subgroup(t, "A")
-    alice_msg = platform.parse_element(t.records[0].payload)
-    bob_msg = platform.parse_element(t.records[1].payload)
+    alice_msg = platform.parse_element(t.find("a1*w*a2"))
+    bob_msg = platform.parse_element(t.find("b1*w*b2"))
     w2 = decomposition_to_factorization(w, alice_msg)
     try:
         a1, a2 = normal_subgroup_attack(w2, A)
@@ -357,33 +280,27 @@ def attack_decomposition_normal(t: Transcript) -> AttackReport:
 def attack_decomposition_factor(t: Transcript, bound: int) -> AttackReport:
     """Reduce to factorization over (A^w, A) and solve by double enumeration."""
     platform = t.platform
-    w = platform.parse_element(t.meta["w"])
+    w = platform.parse_element(t.header("w"))
     A = _transcript_subgroup(t, "A")
-    alice_msg = platform.parse_element(t.records[0].payload)
-    bob_msg = platform.parse_element(t.records[1].payload)
+    alice_msg = platform.parse_element(t.find("a1*w*a2"))
+    bob_msg = platform.parse_element(t.find("b1*w*b2"))
     w2 = decomposition_to_factorization(w, alice_msg)
-    w_inv = platform.invert(w)
+    multiply, w_inv = platform.multiply, platform.invert(w)
     conj_gens = SubgroupGens(
-        platform, tuple(platform.multiply(platform.multiply(w_inv, g), w) for g in A.gens)
+        platform, tuple(multiply(multiply(w_inv, g), w) for g in A.gens)
     )
     left = enumerate_subgroup_values(conj_gens, bound)
     right = enumerate_subgroup_values(A, bound)
-    right_by_key = {k: v for k, (v, _) in right.items()}
-    examined = 0
-    for _, (val, _) in left.items():
-        examined += 1
-        needed = platform.multiply(platform.invert(val), w2)
-        if platform.serialize_element(needed) in right_by_key:
-            a1 = platform.multiply(platform.multiply(w, val), w_inv)
-            a2 = needed
-            if platform.multiply(platform.multiply(a1, w), a2) != alice_msg:
-                continue
-            key = key_from_decomposition_solution(a1, a2, bob_msg)
-            return AttackReport(
-                "decomp-factor", True, recovered_key=key,
-                work={"candidates": examined},
-            )
-    return AttackReport("decomp-factor", False, work={"candidates": examined},
+    for examined, (val, _), (a2, _) in meet_in_middle(left.values(), right, w2):
+        a1 = multiply(multiply(w, val), w_inv)
+        if multiply(multiply(a1, w), a2) != alice_msg:
+            continue
+        key = key_from_decomposition_solution(a1, a2, bob_msg)
+        return AttackReport(
+            "decomp-factor", True, recovered_key=key,
+            work={"candidates": examined},
+        )
+    return AttackReport("decomp-factor", False, work={"candidates": len(left)},
                         notes="no factorization within bound")
 
 
@@ -391,7 +308,7 @@ def attack_twisted_commutator_probe(t: Transcript, bound: int) -> AttackReport:
     """Probe the a1*w*b1 message with each published B generator, CSP-solve
     for the b side, then derive the a side and check it centralizes B."""
     platform = t.platform
-    w = platform.parse_element(t.meta["w"])
+    w = platform.parse_element(t.header("w"))
     A = _transcript_subgroup(t, "A")
     B = _transcript_subgroup(t, "B")
     alice_msg = platform.parse_element(t.find("a1*w*b1"))

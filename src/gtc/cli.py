@@ -448,14 +448,29 @@ def cmd_hom(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
+# the instance fields each problem reads, besides 'bound'
+_SOLVE_FIELDS = {
+    "ssp": ("platform", "target"),
+    "kp": ("platform", "target"),
+    "smp": ("platform", "target"),
+    "gpcp": ("a", "b"),
+    "twisted": ("rank", "source", "target_word", "phi", "psi"),
+    "factor": ("platform", "agens", "bgens", "target"),
+}
+
+
 def cmd_solve(args) -> int:
     with open(args.instance) as fh:
         inst = problems.parse_instance(fh.read())
     if inst.problem != args.problem:
-        print(f"instance is a {inst.problem} problem, not {args.problem}",
-              file=sys.stderr)
-        return 2
+        raise ParseError(f"instance is a {inst.problem} problem, not {args.problem}")
+    for name in _SOLVE_FIELDS[args.problem]:
+        if getattr(inst, name) is None:
+            line = "target" if name == "target_word" else name
+            raise ParseError(f"{args.problem} instance has no '{line}:' line")
     bound = args.bound if args.bound is not None else inst.bound
+    if bound is None and args.problem != "ssp":
+        raise ParseError(f"{args.problem} instance has no 'bound:' line and no --bound")
     if args.problem == "ssp":
         witness = problems.ssp_decide(inst.platform, inst.elements, inst.target)
         print("witness: " + (",".join(map(str, witness)) if witness is not None else "absent"))

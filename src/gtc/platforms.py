@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import ParseError, RankError, SamplingError, SetupError
+from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
 from .words import Word, empty_word, free_reduce, parse_word, random_reduced_word, serialize_word
 
 
@@ -380,11 +380,11 @@ class MatrixModP(Platform):
         return " ".join(str(v) for row in e.payload for v in row)
 
     def parse_element(self, text: str) -> Element:
-        vals = [int(t) for t in text.split()]
-        if len(vals) != self.n * self.n:
-            raise ParseError(f"expected {self.n * self.n} entries, got {len(vals)}")
-        rows = [vals[i * self.n:(i + 1) * self.n] for i in range(self.n)]
         try:
+            vals = [int(t) for t in text.split()]
+            if len(vals) != self.n * self.n:
+                raise ParseError(f"expected {self.n * self.n} entries, got {len(vals)}")
+            rows = [vals[i * self.n:(i + 1) * self.n] for i in range(self.n)]
             return self.element(rows)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
@@ -563,6 +563,89 @@ class SubgroupExpr:
     @property
     def value(self) -> Element:
         return eval_word(self.gens, self.expr)
+
+
+# ---------------------------------------------------------------------------
+# bounded search
+
+ENUM_GUARD = 1 << 24
+
+
+def signed_letters(k: int) -> list[int]:
+    """Letter order of expression enumeration: 1, -1, 2, -2, ..., k, -k."""
+    return [l for i in range(1, k + 1) for l in (i, -i)]
+
+
+def letter_table(gens: SubgroupGens) -> dict[int, Element]:
+    """gens[i-1] under letter i and its inverse under -i; each generator
+    is inverted once."""
+    table = {}
+    for i, g in enumerate(gens.gens, start=1):
+        table[i], table[-i] = g, gens.platform.invert(g)
+    return table
+
+
+def bfs_words(start, letters, step: Callable, bound: int, key: Optional[Callable] = None):
+    """Yield ``(letters, state)`` for every word of length <= bound over
+    ``letters``, breadth-first: by length, then by letter order.
+
+    A child's state is ``step(parent_state, letter)``, and a letter never
+    follows its inverse.  Each node is yielded as it is created, so a
+    caller that stops at a hit expands nothing more.  With ``key``, a
+    state whose key was seen before is neither yielded nor expanded, so
+    each key keeps its first word.  Raises BoundError past ENUM_GUARD
+    states.
+    """
+    seen = None if key is None else {key(start)}
+    count = 1
+    yield (), start
+    frontier = [((), start)]
+    for _ in range(bound):
+        created = []
+        for word, state in frontier:
+            undo = -word[-1] if word else 0
+            for letter in letters:
+                if letter == undo:
+                    continue
+                child = step(state, letter)
+                if seen is not None:
+                    k = key(child)
+                    if k in seen:
+                        continue
+                    seen.add(k)
+                count += 1
+                if count > ENUM_GUARD:
+                    raise BoundError(f"enumeration exceeds the guard of {ENUM_GUARD} states")
+                node = (word + (letter,), child)
+                yield node
+                created.append(node)
+        frontier = created
+
+
+def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
+    """Distinct subgroup elements reachable by expressions of length
+    <= max_len, in BFS order: {payload: (value, letters)}, where letters
+    is the first (shortest) expression of the value."""
+    multiply, table = gens.platform.multiply, letter_table(gens)
+    return {
+        value.payload: (value, expr)
+        for expr, value in bfs_words(
+            gens.platform.identity(), signed_letters(len(gens)),
+            lambda x, l: multiply(x, table[l]), max_len, key=lambda x: x.payload,
+        )
+    }
+
+
+def meet_in_middle(left, right: dict, target: Element):
+    """Yield ``(examined, a, b)`` for each entry ``a = (value, expr)`` of
+    ``left``, in order, such that value^-1 target is a key of ``right``
+    (a payload-keyed table like enumerate_subgroup_values returns); ``b``
+    is that entry, and ``examined`` counts the left entries so far."""
+    platform = target.platform
+    for examined, a in enumerate(left, start=1):
+        b = right.get(platform.multiply(platform.invert(a[0]), target).payload)
+        if b is not None:
+            yield examined, a, b
 
 
 # ---------------------------------------------------------------------------

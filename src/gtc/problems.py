@@ -7,17 +7,17 @@ re-evaluated against the target before it leaves the function.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Optional
 
 from .errors import BoundError, ParseError, RankError
-from .platforms import Element, Platform, SubgroupGens, platform_from_spec
+from .platforms import (ENUM_GUARD, Element, Platform, SubgroupGens, bfs_words,
+                        enumerate_subgroup_values, eval_word, meet_in_middle,
+                        platform_from_spec, signed_letters)
 from .tietze import GenMap, apply_map
-from .words import Word, empty_word, inverse_letters, multiply, parse_word
-
-ENUM_GUARD = 1 << 24
+from .words import Word, empty_word, invert, multiply, parse_word
 
 
 def _recheck(holds: bool, problem: str) -> None:
@@ -105,41 +105,25 @@ def smp_decide_bounded(
     """Submonoid membership by BFS over products, deduplicated by normal
     form; witness is a tuple of item indices (possibly empty)."""
     _check_same_platform(platform, items + [target])
-    identity = platform.identity()
-    if target == identity:
-        return ()
-    seen = {platform.serialize_element(identity)}
-    queue: deque[tuple[Element, tuple[int, ...]]] = deque([(identity, ())])
-    while queue:
-        value, seq = queue.popleft()
-        if len(seq) >= len_bound:
-            continue
-        for i, item in enumerate(items):
-            nv = platform.multiply(value, item)
-            key = platform.serialize_element(nv)
-            if key in seen:
-                continue
-            if len(seen) >= ENUM_GUARD:
-                raise BoundError("state count exceeds the enumeration guard")
-            seen.add(key)
-            ns = seq + (i,)
-            if nv == target:
-                check = identity
-                for j in ns:
-                    check = platform.multiply(check, items[j])
-                _recheck(check == target, "smp")
-                return ns
-            queue.append((nv, ns))
+    multiply = platform.multiply
+    for seq, value in bfs_words(
+        platform.identity(), range(1, len(items) + 1),
+        lambda x, l: multiply(x, items[l - 1]), len_bound, key=lambda x: x.payload,
+    ):
+        if value == target:
+            witness = tuple(l - 1 for l in seq)
+            check = reduce(multiply, (items[j] for j in witness), platform.identity())
+            _recheck(check == target, "smp")
+            return witness
     return None
 
 
-def _term_letters(k: int, group_mode: bool) -> list[int]:
-    letters = []
-    for i in range(1, k + 1):
-        letters.append(i)
-        if group_mode:
-            letters.append(-i)
-    return letters
+def _pair_step(images: dict):
+    """BFS step for a pair of words: multiply each by its image of the letter."""
+    def step(state: tuple[Word, Word], letter: int) -> tuple[Word, Word]:
+        x, y = images[letter]
+        return multiply(state[0], x), multiply(state[1], y)
+    return step
 
 
 def gpcp_bounded_search(
@@ -153,7 +137,8 @@ def gpcp_bounded_search(
     """Bounded non-homogeneous correspondence search: find a term t with
     a t(u) = b t(v).  Terms are words in the k variables (and inverses in
     the group case); evaluation substitutes the tuples and reduces freely
-    (no reduction in the monoid case)."""
+    (positive words never reduce, so the monoid case needs no other
+    product)."""
     if len(u) != len(v):
         raise RankError("tuples u and v must have the same length")
     k = len(u)
@@ -166,45 +151,19 @@ def gpcp_bounded_search(
             if any(l < 0 for l in wd.letters):
                 raise RankError("monoid mode needs positive words")
 
-    def combine(x: Word, y: Word) -> Word:
-        if group_mode:
-            return multiply(x, y)
-        return Word(x.letters + y.letters, rank)
+    letters = signed_letters(k) if group_mode else range(1, k + 1)
+    subs = {
+        l: (u[l - 1], v[l - 1]) if l > 0 else (invert(u[-l - 1]), invert(v[-l - 1]))
+        for l in letters
+    }
 
-    def matches(tu: Word, tv: Word) -> bool:
-        return combine(a, tu) == combine(b, tv)
-
-    subs = {}
-    for i in range(1, k + 1):
-        subs[i] = u[i - 1], v[i - 1]
-        if group_mode:
-            subs[-i] = tuple(
-                Word(inverse_letters(x[i - 1].letters), rank) for x in (u, v)
-            )
-    letters = _term_letters(k, group_mode)
-    start = (empty_word(max(k, 1)), empty_word(rank), empty_word(rank))
-    queue = deque([start])
-    examined = 0
-    while queue:
-        term, tu, tv = queue.popleft()
-        examined += 1
-        if examined > ENUM_GUARD:
-            raise BoundError("term enumeration exceeds the guard")
-        if matches(tu, tv):
-            return term
-        if len(term) >= term_len_bound:
-            continue
-        for letter in letters:
-            if group_mode and term.letters and term.letters[-1] == -letter:
-                continue
-            su, sv = subs[letter]
-            queue.append(
-                (
-                    Word(term.letters + (letter,), max(k, 1)),
-                    combine(tu, su),
-                    combine(tv, sv),
-                )
-            )
+    # the state is (a t(u), b t(v)), extended one letter at a time
+    for term, (atu, btv) in bfs_words((a, b), letters, _pair_step(subs), term_len_bound):
+        if atu == btv:
+            t = Word._trusted(term, k)  # re-evaluate t(u) and t(v) from scratch
+            _recheck(multiply(a, apply_map(GenMap(k, rank, tuple(u)), t))
+                     == multiply(b, apply_map(GenMap(k, rank, tuple(v)), t)), "gpcp")
+            return Word(term, max(k, 1))
     return None
 
 
@@ -222,35 +181,22 @@ def twisted_conjugacy_bounded(
     if phi.from_gens != rank or psi.from_gens != rank:
         raise RankError("endomorphisms must act on the platform alphabet")
     uw, vw = u.payload, v.payload
-    letters = _term_letters(rank, group_mode=True)
-    gen_words = {l: Word((l,), rank) for l in letters}
-    start = (empty_word(rank), empty_word(rank), empty_word(rank))
-    queue = deque([start])
-    examined = 0
-    while queue:
-        w, phi_w, psi_w = queue.popleft()
-        examined += 1
-        if examined > ENUM_GUARD:
-            raise BoundError("word enumeration exceeds the guard")
-        if multiply(uw, phi_w) == multiply(psi_w, vw):
+    letters = signed_letters(rank)
+    images = {}
+    for l in letters:
+        g = Word._trusted((l,), rank)
+        images[l] = apply_map(phi, g), apply_map(psi, g)
+
+    # the state is (u phi(w), psi(w)), extended one letter at a time
+    start = (uw, empty_word(rank))
+    for letters_w, (u_phi_w, psi_w) in bfs_words(start, letters, _pair_step(images), len_bound):
+        if u_phi_w == multiply(psi_w, vw):
+            w = Word(letters_w, rank)
             _recheck(
                 multiply(uw, apply_map(phi, w)) == multiply(apply_map(psi, w), vw),
                 "twisted",
             )
             return w
-        if len(w) >= len_bound:
-            continue
-        for letter in letters:
-            if w.letters and w.letters[-1] == -letter:
-                continue
-            g = gen_words[letter]
-            queue.append(
-                (
-                    Word(w.letters + (letter,), rank),
-                    multiply(phi_w, apply_map(phi, g)),
-                    multiply(psi_w, apply_map(psi, g)),
-                )
-            )
     return None
 
 
@@ -259,21 +205,17 @@ def factorization_decide_bounded(
 ) -> Optional[tuple[Word, Word]]:
     """Meet-in-the-middle search for w = a b with a in <A>, b in <B>,
     both as expressions of length <= len_bound."""
-    from .attacks import enumerate_subgroup_values
-
     platform = w.platform
     _check_same_platform(platform, list(A.gens) + list(B.gens) + [w])
     b_values = enumerate_subgroup_values(B, len_bound)
-    b_by_key = {k: v for k, v in b_values.items()}
     a_values = enumerate_subgroup_values(A, len_bound)
-    for _, (a_val, a_expr) in a_values.items():
-        needed = platform.multiply(platform.invert(a_val), w)
-        hit = b_by_key.get(platform.serialize_element(needed))
-        if hit is not None:
-            b_val, b_expr = hit
-            _recheck(platform.multiply(a_val, b_val) == w, "factor")
-            return a_expr, b_expr
-    return None
+    hit = next(meet_in_middle(a_values.values(), b_values, w), None)
+    if hit is None:
+        return None
+    _, (_, a_letters), (_, b_letters) = hit
+    a_expr, b_expr = Word(a_letters, len(A)), Word(b_letters, len(B))
+    _recheck(platform.multiply(eval_word(A, a_expr), eval_word(B, b_expr)) == w, "factor")
+    return a_expr, b_expr
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +246,13 @@ def _parse_map(text: str, rank: int) -> GenMap:
     return GenMap(len(images), rank, images)
 
 
+def _int_value(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"'{key}:' needs an integer, got {value!r}") from None
+
+
 def parse_instance(text: str) -> ProblemInstance:
     """Problem instance file: 'key: value' lines; see the README for the
     per-problem keys."""
@@ -323,11 +272,13 @@ def parse_instance(text: str) -> ProblemInstance:
     if "platform" in keys:
         inst.platform = platform_from_spec(keys["platform"])
     if "rank" in keys:
-        inst.rank = int(keys["rank"])
+        inst.rank = _int_value("rank", keys["rank"])
     if "bound" in keys:
-        inst.bound = int(keys["bound"])
+        inst.bound = _int_value("bound", keys["bound"])
     rank = inst.rank or 0
     for key, value in pairs:
+        if key in ("elem", "agens", "bgens") and inst.platform is None:
+            raise ParseError(f"'{key}:' needs a 'platform:' line")
         if key == "elem":
             inst.elements.append(inst.platform.parse_element(value))
         elif key == "target" and inst.platform is not None:

@@ -79,7 +79,12 @@ class Transcript:
         for r in self.records:
             if r.label == label:
                 return r.payload
-        raise KeyError(label)
+        raise ParseError(f"transcript has no '{label}' record")
+
+    def header(self, key: str) -> str:
+        if key not in self.meta:
+            raise ParseError(f"transcript has no '{key}' header")
+        return self.meta[key]
 
     def find_all(self, prefix: str) -> list[str]:
         return [r.payload for r in self.records if r.label.startswith(prefix)]

@@ -92,6 +92,17 @@ def test_csp_work_counter_deterministic():
     assert a.candidates == b.candidates
 
 
+def test_csp_witness_is_rechecked(monkeypatch):
+    from gtc import attacks
+
+    platform, w, A, _ = block_setup()
+    target = platform.conjugate(w, A.gens[1])
+    # a broken evaluator: every expression evaluates to the identity
+    monkeypatch.setattr(attacks, "eval_word", lambda gens, expr: gens.platform.identity())
+    with pytest.raises(AssertionError, match="csp witness fails its re-check"):
+        brute_force_csp(w, target, A, 3)
+
+
 # --- reductions ---------------------------------------------------------------
 
 def test_reduction_identity_on_planted_decomposition():

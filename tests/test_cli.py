@@ -307,3 +307,133 @@ def test_order_one_generator_exits_2(capsys):
         assert code == 2, argv
         assert "order 1" in err
 
+
+
+# --- bounded searches: golden pins and exit codes ---------------------------
+
+def _simulate(tmp_path, capsys, protocol, min_len, max_len):
+    path = tmp_path / f"{protocol}.txt"
+    code, _, _ = run(["simulate", "--protocol", protocol, "--seed", "3", "--min-len",
+                      str(min_len), "--max-len", str(max_len), "--out", str(path)], capsys)
+    assert code == 0
+    return path
+
+
+ATTACK_PINS = {
+    ("ko-lee", "csp", 3): "attack: csp\nsuccess: true\n"
+    "recovered-key: 1 1 0 2 0 3 1 0 0 4 0 4 1 3 2 4\nwork-candidates: 30\n",
+    ("ko-lee", "csp", 2): "attack: csp\nsuccess: false\nwork-candidates: 17\n"
+    "notes: no conjugator within bound\n",
+    ("decomp", "decomp-factor", 2): "attack: decomp-factor\nsuccess: true\n"
+    "recovered-key: 0 4 3 0 2 3 2 4 2 2 2 1 3 0 1 2\nwork-candidates: 10\n",
+    ("decomp", "decomp-factor", 1): "attack: decomp-factor\nsuccess: false\n"
+    "work-candidates: 5\nnotes: no factorization within bound\n",
+}
+
+
+@pytest.mark.parametrize("protocol,method,bound", sorted(ATTACK_PINS))
+def test_search_attack_golden_pins(tmp_path, capsys, protocol, method, bound):
+    lengths = (3, 3) if protocol == "ko-lee" else (1, 2)
+    transcript = _simulate(tmp_path, capsys, protocol, *lengths)
+    code, out, _ = run(["attack", "--transcript", str(transcript), "--method", method,
+                        "--bound", str(bound)], capsys)
+    assert code == 0
+    assert out == ATTACK_PINS[(protocol, method, bound)]
+
+
+IDENTITY3 = "1 0 0 0 1 0 0 0 1"
+AGENS = "agens: 1 1 0 0 1 0 0 0 1;2 0 0 0 3 0 0 0 1"
+BGENS = "bgens: 1 0 0 0 1 1 0 0 1;1 0 0 0 1 0 3 0 2"
+SOLVE_PINS = [
+    ("smp", ["platform: perm 4", "elem: 2 1 3 4", "elem: 2 3 4 1", "target: 4 1 3 2",
+             "bound: 4"], "witness: 2,2,1,2\n"),
+    ("smp", ["platform: matrix 3 5", "elem: 1 1 0 0 1 0 0 0 1", "elem: 1 0 0 2 1 0 0 0 1",
+             "target: 2 0 0 0 1 0 0 0 1", "bound: 3"], "witness: absent\n"),
+    ("gpcp", ["rank: 2", "u: 1,2", "u: 2", "v: 1", "v: 2,1", "a: 1", "b: 2,-1,-2,-2",
+              "bound: 3"], "term: 2,-1,2\n"),
+    ("gpcp", ["rank: 2", "u: 1", "u: 2", "v: 1", "v: 2", "a: 1", "b: 2", "bound: 3"],
+     "term: absent\n"),
+    ("twisted", ["rank: 2", "source: 1,2", "target: -2,-1,-2,-2,1,2,1,1,2", "phi: 2;1",
+                 "psi: 1,2;2", "bound: 3"], "witness: 2,2,1\n"),
+    ("twisted", ["rank: 2", "source: 1,2", "target: 1,1", "phi: 2;1", "psi: 2;1",
+                 "bound: 3"], "witness: absent\n"),
+    ("factor", ["platform: matrix 3 5", AGENS, BGENS, "target: 3 0 0 0 2 2 1 0 3",
+                "bound: 3"], "a-expr: -2\nb-expr: -2,1\n"),
+    ("factor", ["platform: matrix 3 5", AGENS, BGENS, "target: 1 0 0 1 1 0 0 0 1",
+                "bound: 2"], "witness: absent\n"),
+]
+
+
+def _solve(tmp_path, capsys, problem, lines):
+    instance = tmp_path / "instance.txt"
+    instance.write_text("\n".join([f"problem: {problem}"] + lines) + "\n")
+    return run(["solve", problem, "--instance", str(instance)], capsys)
+
+
+@pytest.mark.parametrize("problem,lines,expected", SOLVE_PINS)
+def test_search_solve_golden_pins(tmp_path, capsys, problem, lines, expected):
+    code, out, _ = _solve(tmp_path, capsys, problem, lines)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("protocol,method", [
+    ("dh", "csp"), ("dh", "normal"), ("dh", "decomp-factor"), ("dh", "commutator-probe"),
+    ("ko-lee", "dlog"), ("decomp", "csp"),
+])
+def test_attack_on_the_wrong_transcript_exits_2(tmp_path, capsys, protocol, method):
+    transcript = _simulate(tmp_path, capsys, protocol, 1, 2)
+    code, _, err = run(["attack", "--transcript", str(transcript), "--method", method],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error: transcript has no ")
+
+
+@pytest.mark.parametrize("method", ["normal", "decomp-factor"])
+def test_decomp_attack_without_records_exits_2(tmp_path, capsys, method):
+    transcript = _simulate(tmp_path, capsys, "decomp", 1, 2)
+    text = transcript.read_text()
+    transcript.write_text("".join(ln for ln in text.splitlines(True) if ln.startswith("#")))
+    code, _, err = run(["attack", "--transcript", str(transcript), "--method", method],
+                       capsys)
+    assert code == 2
+    assert err == "error: transcript has no 'a1*w*a2' record\n"
+
+
+MATRIX_INSTANCE = ["platform: matrix 3 5", f"elem: {IDENTITY3}", f"target: {IDENTITY3}"]
+
+
+@pytest.mark.parametrize("problem,lines,message", [
+    ("kp", MATRIX_INSTANCE, "no 'bound:' line"),
+    ("smp", MATRIX_INSTANCE, "no 'bound:' line"),
+    ("gpcp", ["rank: 2", "u: 1", "v: 2", "a: e", "b: e"], "no 'bound:' line"),
+    ("twisted", ["rank: 2", "source: 1", "target: 1", "phi: 1;2", "psi: 1;2"],
+     "no 'bound:' line"),
+    ("factor", ["platform: matrix 3 5", f"agens: {IDENTITY3}", f"bgens: {IDENTITY3}",
+                f"target: {IDENTITY3}"], "no 'bound:' line"),
+    ("smp", MATRIX_INSTANCE + ["bound: x"], "'bound:' needs an integer"),
+    ("twisted", ["rank: x", "source: 1", "target: 1", "phi: 1;2", "psi: 1;2", "bound: 2"],
+     "'rank:' needs an integer"),
+    ("factor", ["platform: matrix 3 5", f"bgens: {IDENTITY3}", f"target: {IDENTITY3}",
+                "bound: 2"], "no 'agens:' line"),
+    ("twisted", ["rank: 2", "source: 1", "target: 1", "psi: 1;2", "bound: 2"],
+     "no 'phi:' line"),
+    ("smp", [f"elem: {IDENTITY3}", f"target: {IDENTITY3}", "bound: 2"],
+     "'elem:' needs a 'platform:' line"),
+    ("smp", ["platform: matrix 3 5", "elem: 1 0 0 0 x 0 0 0 1", f"target: {IDENTITY3}",
+             "bound: 2"], "invalid literal"),
+])
+def test_malformed_solve_instance_exits_2(tmp_path, capsys, problem, lines, message):
+    code, out, err = _solve(tmp_path, capsys, problem, lines)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_solve_problem_mismatch_exits_2_with_error_prefix(tmp_path, capsys):
+    instance = tmp_path / "instance.txt"
+    instance.write_text("\n".join(["problem: kp"] + MATRIX_INSTANCE + ["bound: 2"]) + "\n")
+    code, _, err = run(["solve", "smp", "--instance", str(instance)], capsys)
+    assert code == 2
+    assert err == "error: instance is a kp problem, not smp\n"

@@ -226,6 +226,19 @@ def test_gpcp_monoid_mode():
 
 # --- twisted conjugacy -----------------------------------------------------------
 
+def test_gpcp_witness_is_rechecked(monkeypatch):
+    from gtc import problems
+
+    u = [Word((1,), 2), Word((2,), 2)]
+    v = [Word((2,), 2), Word((1,), 2)]
+    a, b = Word((2,), 2), Word((1,), 2)  # t = x2^-1 solves a t(u) = b t(v)
+    assert gpcp_bounded_search(u, v, a, b, 2) == Word((-2,), 2)
+    # a broken evaluator: every term evaluates to the empty word
+    monkeypatch.setattr(problems, "apply_map", lambda m, w: empty_word(m.to_gens))
+    with pytest.raises(AssertionError, match="gpcp witness fails its re-check"):
+        gpcp_bounded_search(u, v, a, b, 2)
+
+
 def test_twisted_identity_endomorphisms():
     fp = FreePlatform(2)
     u = fp.element(Word((1, 2), 2))

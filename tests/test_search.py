@@ -1,0 +1,104 @@
+"""The bounded-search kernel against a direct enumeration of words."""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtc import platforms
+from gtc.attacks import brute_force_csp, enumerate_subgroup_values
+from gtc.cli import main
+from gtc.errors import BoundError
+from gtc.platforms import bfs_words, block_commuting_subgroups, signed_letters
+
+
+def ordered_words(letters, bound):
+    """Every word of length <= bound over ``letters`` with no letter next
+    to its inverse, by length and then lexicographically in letter order."""
+    for n in range(bound + 1):
+        for w in product(letters, repeat=n):
+            if all(x != -y for x, y in zip(w, w[1:])):
+                yield w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, 3),
+    bound=st.integers(0, 4),
+    positive=st.booleans(),
+    modulus=st.integers(1, 12),
+    data=st.data(),
+)
+def test_bfs_words_matches_product_enumeration(k, bound, positive, modulus, data):
+    # states live in Z_modulus: letter i adds shift[i], letter -i subtracts it
+    shift = {i: data.draw(st.integers(0, modulus - 1)) for i in range(1, k + 1)}
+    letters = list(range(1, k + 1)) if positive else signed_letters(k)
+
+    def value(letter):
+        return shift[letter] if letter > 0 else -shift[-letter]
+
+    def step(state, letter):
+        return (state + value(letter)) % modulus
+
+    oracle = [(w, sum(map(value, w)) % modulus) for w in ordered_words(letters, bound)]
+    assert list(bfs_words(0, letters, step, bound)) == oracle
+    first = {}
+    for w, state in oracle:
+        first.setdefault(state, w)
+    deduped = list(bfs_words(0, letters, step, bound, key=lambda state: state))
+    assert deduped == [(w, state) for state, w in first.items()]
+
+
+def test_signed_letters_order():
+    assert signed_letters(3) == [1, -1, 2, -2, 3, -3]
+    assert signed_letters(0) == []
+
+
+def test_bfs_words_stops_expanding_when_the_caller_stops():
+    calls = []
+
+    def step(state, letter):
+        calls.append(letter)
+        return state + (letter,)
+
+    for word, _ in bfs_words((), [1, 2], step, 10):
+        if word == (1,):
+            break
+    assert calls == [1]
+
+
+def test_bfs_words_guard_raises_bound_error(monkeypatch):
+    def step(state, letter):
+        return state + letter
+
+    monkeypatch.setattr(platforms, "ENUM_GUARD", 9)
+    # two reduced words of each positive length over {1, -1}: 1 + 2 * 4 = 9 states
+    assert len(list(bfs_words(0, [1, -1], step, 4))) == 9
+    # with dedup only new keys are states: abs keeps 0, 1, 2, 3, 4
+    assert len(list(bfs_words(0, [1, -1], step, 4, key=abs))) == 5
+    with pytest.raises(BoundError):
+        list(bfs_words(0, [1, -1], step, 20, key=lambda s: s))
+    monkeypatch.setattr(platforms, "ENUM_GUARD", 8)
+    with pytest.raises(BoundError):
+        list(bfs_words(0, [1, -1], step, 4))
+
+
+def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys):
+    A, _ = block_commuting_subgroups(4, 5, 2, 2, random.Random(99))
+    w = A.platform.random_element(random.Random(1))
+    monkeypatch.setattr(platforms, "ENUM_GUARD", 20)
+    with pytest.raises(BoundError):
+        brute_force_csp(w, A.platform.identity(), A, 3)
+    with pytest.raises(BoundError):
+        enumerate_subgroup_values(A, 3)
+    transcript = tmp_path / "ko-lee.txt"
+    assert main(["simulate", "--protocol", "ko-lee", "--seed", "3", "--min-len", "3",
+                 "--max-len", "3", "--out", str(transcript)]) == 0
+    capsys.readouterr()
+    code = main(["attack", "--transcript", str(transcript), "--method", "csp",
+                 "--bound", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: enumeration exceeds the guard")
