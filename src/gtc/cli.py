@@ -22,13 +22,14 @@ from .platforms import (
     DirectFreePlatform,
     FreePlatform,
     MatrixModP,
+    PermutationPlatform,
     SubgroupGens,
     block_commuting_subgroups,
     cyclic_subgroup,
     direct_factor_subgroups,
 )
 from .rng import stream
-from .words import parse_word, serialize_word
+from .words import Word, int_value, one_field, parse_word, read_fields, serialize_word
 
 
 def _resolve_seed(args) -> int:
@@ -38,6 +39,17 @@ def _resolve_seed(args) -> int:
     if env is not None:
         return int(env)
     return 0
+
+
+def _read(path: str | None, flag: str) -> str:
+    """The text of the file given as ``flag``; ParseError if none or unreadable."""
+    if path is None:
+        raise ParseError(f"{flag} is required")
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {flag[2:]}: {exc}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -132,12 +144,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    try:
-        with open(args.transcript) as fh:
-            transcript = protocols.parse_transcript(fh.read())
-    except OSError as exc:
-        print(f"cannot read transcript: {exc}", file=sys.stderr)
-        return 2
+    if args.bound < 0:
+        raise ParseError("--bound must not be negative")
+    transcript = protocols.parse_transcript(_read(args.transcript, "--transcript"))
     driver = attacks.ATTACK_DRIVERS[args.method]
     report = driver(transcript, args.bound)
     text = attacks.format_attack_report(report, transcript.platform)
@@ -223,73 +232,47 @@ def cmd_montecarlo(args) -> int:
 def _format_trick_private(key: wordenc.TrickTreatKey) -> str:
     lines = [f"trivial-index: {key.private.trivial_index}"]
     for idx, side in enumerate(key.private.sides, start=1):
-        lines.append(f"side: {idx}")
-        lines.append(f"kind: {side.kind}")
-        lines.append(tietze.format_presentation(side.chain.start))
-        for move in side.chain.moves:
-            lines.append(f"move: {tietze.format_move(move)}")
+        lines += [f"side: {idx}", f"kind: {side.kind}",
+                  tietze.format_presentation(side.chain.start)]
+        lines += [f"move: {tietze.format_move(move)}" for move in side.chain.moves]
     return "\n".join(lines) + "\n"
 
 
 def _parse_trick_private(text: str) -> wordenc.TrickTreatPrivate:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("trivial-index:"):
-        raise ParseError("private key must start with 'trivial-index:'")
-    trivial_index = int(lines[0].split(":", 1)[1])
+    head, *blocks = read_fields(text, cuts=("side",))
+    trivial_index = int_value("trivial-index", one_field(head, "trivial-index"), 1, 2)
+    if len(head) != 1 or [block[0][1] for block in blocks] != ["1", "2"]:
+        raise ParseError("private key is 'trivial-index:', then 'side: 1' and 'side: 2'")
     sides = []
-    i = 1
-    while i < len(lines):
-        if not lines[i].startswith("side:"):
-            raise ParseError(f"expected 'side:' line, got {lines[i]!r}")
-        i += 1
-        kind = lines[i].split(":", 1)[1].strip()
-        i += 1
-        pres_lines = []
-        while i < len(lines) and (
-            lines[i].startswith("generators:") or lines[i].startswith("relator:")
-        ):
-            pres_lines.append(lines[i])
-            i += 1
-        seed_pres = tietze.parse_presentation("\n".join(pres_lines))
-        builder = tietze.ChainBuilder(seed_pres)
-        while i < len(lines) and lines[i].startswith("move:"):
-            builder.apply(
-                tietze.parse_move(lines[i].split(":", 1)[1].strip(), builder.current.n_gens)
-            )
-            i += 1
-        chain = builder.chain()
+    for idx, block in enumerate(blocks, start=1):
+        kind = one_field(block, "kind")
+        if kind != ("trivial" if idx == trivial_index else "free"):
+            raise ParseError(f"side {idx} cannot be {kind!r} at trivial-index {trivial_index}")
+        pres = [f for f in block[1:] if f[0] not in ("kind", "move")]
+        moves = [f for f in block if f[0] == "move"]
+        chain = tietze.replay_moves(tietze.presentation_from_fields(pres), moves)
         sides.append(wordenc.DisguisedGroup(chain.end, chain, kind))
-    if len(sides) != 2:
-        raise ParseError("private key must describe exactly two sides")
     return wordenc.TrickTreatPrivate(trivial_index, (sides[0], sides[1]))
 
 
 def _format_trick_public(publics) -> str:
-    parts = []
-    for idx, pres in enumerate(publics, start=1):
-        parts.append(f"presentation: {idx}")
-        parts.append(tietze.format_presentation(pres))
-    return "\n".join(parts) + "\n"
+    return "".join(f"presentation: {idx}\n{tietze.format_presentation(pres)}\n"
+                   for idx, pres in enumerate(publics, start=1))
 
 
 def _parse_trick_public(text: str):
-    blocks = []
-    current: list[str] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("presentation:"):
-            if current:
-                blocks.append("\n".join(current))
-            current = []
-        else:
-            current.append(ln)
-    if current:
-        blocks.append("\n".join(current))
-    if len(blocks) != 2:
-        raise ParseError("public key must contain two presentations")
-    return tuple(tietze.parse_presentation(b) for b in blocks)
+    head, *blocks = read_fields(text, cuts=("presentation",))
+    if head or [block[0][1] for block in blocks] != ["1", "2"]:
+        raise ParseError("public key must contain presentations 1 and 2")
+    return tuple(tietze.presentation_from_fields(block[1:]) for block in blocks)
+
+
+def _read_ciphertext(path: str | None, ranks: list[int]) -> list[Word]:
+    """One word line per entry of ``ranks``, over that many generators."""
+    [fields] = read_fields(_read(path, "--ct"))
+    if len(fields) != len(ranks) or any(key for key, _ in fields):
+        raise ParseError(f"ciphertext must have {len(ranks)} word line(s)")
+    return [parse_word(value, n) for (_, value), n in zip(fields, ranks)]
 
 
 def cmd_wp_encrypt(args) -> int:
@@ -302,24 +285,16 @@ def cmd_wp_encrypt(args) -> int:
         print(f"seed={seed} trivial-index={key.private.trivial_index}")
         return 0
     if args.action == "encrypt":
-        with open(args.pub) as fh:
-            publics = _parse_trick_public(fh.read())
+        publics = _parse_trick_public(_read(args.pub, "--pub"))
         ct = wordenc.trick_treat_encrypt(
             args.bit, publics, (args.min_len, args.max_len), rng
         )
         _write(args.out, f"{serialize_word(ct.w1)}\n{serialize_word(ct.w2)}\n")
         print(f"seed={seed} bit={args.bit}")
         return 0
-    with open(args.priv) as fh:
-        private = _parse_trick_private(fh.read())
-    with open(args.ct) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if len(lines) != 2:
-        print("ciphertext must have two word lines", file=sys.stderr)
-        return 2
+    private = _parse_trick_private(_read(args.priv, "--priv"))
     ct = wordenc.BitCiphertext(
-        parse_word(lines[0], private.sides[0].public.n_gens),
-        parse_word(lines[1], private.sides[1].public.n_gens),
+        *_read_ciphertext(args.ct, [side.public.n_gens for side in private.sides])
     )
     if args.action == "decrypt":
         print(f"bit: {wordenc.trick_treat_decrypt(ct, private)}")
@@ -336,60 +311,42 @@ def cmd_wp_encrypt(args) -> int:
 # homomorphic encryption files
 
 def _format_hom_public(pk: homenc.HomomorphicPublicKey) -> str:
-    lines = ["[G]", tietze.format_presentation(pk.G)]
-    lines += ["[H-hat]", tietze.format_presentation(pk.H_hat)]
-    lines += ["[phi]", tietze.format_map(pk.phi)]
-    lines.append("[faithful]")
-    platform = pk.faithful[0].platform
-    for img in pk.faithful:
-        lines.append(f"perm: {platform.serialize_element(img)}")
+    lines = ["[G]", tietze.format_presentation(pk.G),
+             "[H-hat]", tietze.format_presentation(pk.H_hat),
+             "[phi]", tietze.format_map(pk.phi), "[faithful]"]
+    lines += [f"perm: {img.platform.serialize_element(img)}" for img in pk.faithful]
     return "\n".join(lines) + "\n"
 
 
-def _split_sections(text: str) -> dict[str, list[str]]:
-    sections: dict[str, list[str]] = {}
-    name = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("[") and ln.endswith("]"):
-            name = ln[1:-1]
-            sections[name] = []
-        elif name is not None:
-            sections[name].append(ln)
-        else:
-            raise ParseError(f"line outside any section: {ln!r}")
-    return sections
+def _sections(text: str, names: tuple[str, ...]) -> list[list]:
+    """The fields of each '[name]' section; all must appear once, in order."""
+    cuts = tuple(f"[{name}]" for name in names)
+    head, *blocks = read_fields(text, cuts)
+    if head or [block[0][0] for block in blocks] != list(cuts):
+        raise ParseError(f"expected the sections {' '.join(cuts)}, in this order")
+    return [block[1:] for block in blocks]
 
 
 def _parse_hom_public(text: str) -> homenc.HomomorphicPublicKey:
-    from .platforms import PermutationPlatform
-
-    sections = _split_sections(text)
-    G = tietze.parse_presentation("\n".join(sections["G"]))
-    h_hat = tietze.parse_presentation("\n".join(sections["H-hat"]))
-    images = []
-    for ln in sections["phi"]:
-        if not ln.startswith("map:"):
-            raise ParseError(f"bad map line {ln!r}")
-        _, rest = ln.split(":", 1)
-        idx, word_text = rest.split("->")
-        images.append((int(idx), parse_word(word_text.strip(), h_hat.n_gens)))
-    images.sort()
-    phi = tietze.GenMap(len(images), h_hat.n_gens, tuple(w for _, w in images))
+    g, h_hat, maps, perms = _sections(text, ("G", "H-hat", "phi", "faithful"))
+    G = tietze.presentation_from_fields(g)
+    H_hat = tietze.presentation_from_fields(h_hat)
+    phi = tietze.parse_map(maps, H_hat.n_gens)
     faithful = []
-    for ln in sections["faithful"]:
-        payload = ln.split(":", 1)[1].strip()
-        degree = len(payload.split())
-        faithful.append(PermutationPlatform(degree).parse_element(payload))
-    return homenc.HomomorphicPublicKey(phi, G, h_hat, tuple(faithful))
+    for key, value in perms:
+        if key != "perm":
+            raise ParseError(f"expected a 'perm:' line, got {key!r}: {value!r}")
+        faithful.append(PermutationPlatform(len(value.split())).parse_element(value))
+    if phi.from_gens != G.n_gens or len(faithful) != G.n_gens:
+        raise ParseError("[phi] and [faithful] need one line per generator of G")
+    if len({img.platform for img in faithful}) != 1:
+        raise ParseError("the [faithful] permutations must share one degree")
+    return homenc.HomomorphicPublicKey(phi, G, H_hat, tuple(faithful))
 
 
 def _format_hom_private(kp: homenc.HomomorphicKeyPair) -> str:
     lines = ["[G]", tietze.format_presentation(kp.private.chain.start), "[chain]"]
-    for move in kp.private.chain.moves:
-        lines.append(f"move: {tietze.format_move(move)}")
+    lines += [f"move: {tietze.format_move(move)}" for move in kp.private.chain.moves]
     lines.append("[discarded]")
     indices = " ".join(str(i) for i in sorted(kp.private.discarded))
     lines.append(f"indices: {indices if indices else '-'}")
@@ -397,15 +354,17 @@ def _format_hom_private(kp: homenc.HomomorphicKeyPair) -> str:
 
 
 def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc.HomomorphicKeyPair:
-    sections = _split_sections(text)
-    G = tietze.parse_presentation("\n".join(sections["G"]))
-    builder = tietze.ChainBuilder(G)
-    for ln in sections.get("chain", []):
-        builder.apply(tietze.parse_move(ln.split(":", 1)[1].strip(), builder.current.n_gens))
-    chain = builder.chain()
-    raw = sections["discarded"][0].split(":", 1)[1].strip()
-    discarded = frozenset(int(v) for v in raw.split()) if raw != "-" else frozenset()
-    private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain.end, chain, discarded)
+    g, moves, discarded = _sections(text, ("G", "chain", "discarded"))
+    G = tietze.presentation_from_fields(g)
+    chain = tietze.replay_moves(G, moves)
+    if G != public.G or chain.end.n_gens != public.H_hat.n_gens:
+        raise ParseError("private key does not match the public key")
+    if [key for key, _ in discarded] != ["indices"]:
+        raise ParseError("[discarded] must hold one 'indices:' line")
+    raw = discarded[0][1]
+    last = len(chain.end.relators) - 1
+    indices = frozenset(int_value("indices", v, 0, last) for v in raw.split() if raw != "-")
+    private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain.end, chain, indices)
     return homenc.HomomorphicKeyPair(public, private)
 
 
@@ -425,21 +384,16 @@ def cmd_hom(args) -> int:
         print(f"seed={seed} generators={kp.private.H.n_gens} "
               f"relators={len(kp.private.H.relators)} discarded={len(kp.private.discarded)}")
         return 0
+    pk = _parse_hom_public(_read(args.pub, "--pub"))
     if args.action == "encrypt":
-        with open(args.pub) as fh:
-            pk = _parse_hom_public(fh.read())
         w = parse_word(args.word, pk.G.n_gens)
         ct = homenc.hom_encrypt(pk, w, args.steps, rng)
         _write(args.out, serialize_word(ct) + "\n")
         if args.out is not None:
             print(f"seed={seed} ciphertext-length={len(ct)}")
         return 0
-    with open(args.pub) as fh:
-        pk = _parse_hom_public(fh.read())
-    with open(args.priv) as fh:
-        kp = _parse_hom_private(fh.read(), pk)
-    with open(args.ct) as fh:
-        ct = parse_word(fh.read().strip(), pk.H_hat.n_gens)
+    kp = _parse_hom_private(_read(args.priv, "--priv"), pk)
+    [ct] = _read_ciphertext(args.ct, [pk.H_hat.n_gens])
     result = homenc.hom_decrypt(kp, ct)
     print(f"plaintext: {result.platform.serialize_element(result)}")
     return 0
@@ -460,8 +414,7 @@ _SOLVE_FIELDS = {
 
 
 def cmd_solve(args) -> int:
-    with open(args.instance) as fh:
-        inst = problems.parse_instance(fh.read())
+    inst = problems.parse_instance(_read(args.instance, "--instance"))
     if inst.problem != args.problem:
         raise ParseError(f"instance is a {inst.problem} problem, not {args.problem}")
     for name in _SOLVE_FIELDS[args.problem]:
@@ -471,6 +424,8 @@ def cmd_solve(args) -> int:
     bound = args.bound if args.bound is not None else inst.bound
     if bound is None and args.problem != "ssp":
         raise ParseError(f"{args.problem} instance has no 'bound:' line and no --bound")
+    if bound is not None and bound < 0:
+        raise ParseError("--bound must not be negative")
     if args.problem == "ssp":
         witness = problems.ssp_decide(inst.platform, inst.elements, inst.target)
         print("witness: " + (",".join(map(str, witness)) if witness is not None else "absent"))

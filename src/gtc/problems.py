@@ -16,8 +16,10 @@ from .errors import BoundError, ParseError, RankError
 from .platforms import (ENUM_GUARD, Element, Platform, SubgroupGens, bfs_words,
                         enumerate_subgroup_values, eval_word, meet_in_middle,
                         platform_from_spec, signed_letters)
+from .protocols import parse_gens
 from .tietze import GenMap, apply_map
-from .words import Word, empty_word, invert, multiply, parse_word
+from .words import (Word, empty_word, int_value, invert, multiply, one_field,
+                    parse_word, read_fields)
 
 
 def _recheck(holds: bool, problem: str) -> None:
@@ -246,67 +248,38 @@ def _parse_map(text: str, rank: int) -> GenMap:
     return GenMap(len(images), rank, images)
 
 
-def _int_value(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"'{key}:' needs an integer, got {value!r}") from None
-
-
 def parse_instance(text: str) -> ProblemInstance:
-    """Problem instance file: 'key: value' lines; see the README for the
-    per-problem keys."""
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"bad instance line {raw!r}")
-        key, value = line.split(":", 1)
-        pairs.append((key.strip(), value.strip()))
-    keys = dict(pairs)
-    if "problem" not in keys:
-        raise ParseError("instance needs a 'problem:' line")
-    inst = ProblemInstance(problem=keys["problem"])
-    if "platform" in keys:
-        inst.platform = platform_from_spec(keys["platform"])
-    if "rank" in keys:
-        inst.rank = _int_value("rank", keys["rank"])
-    if "bound" in keys:
-        inst.bound = _int_value("bound", keys["bound"])
-    rank = inst.rank or 0
-    for key, value in pairs:
-        if key in ("elem", "agens", "bgens") and inst.platform is None:
+    """Problem instance file: 'key: value' lines, '#' comments; see the
+    README for the per-problem keys."""
+    [fields] = read_fields(text, comments=True)
+    for key, value in fields:
+        if not key:
+            raise ParseError(f"bad instance line {value!r}")
+    inst = ProblemInstance(problem=one_field(fields, "problem"))
+    spec = one_field(fields, "platform", optional=True)
+    if spec is not None:
+        inst.platform = platform_from_spec(spec)
+    for key, lo in (("rank", 1), ("bound", 0)):
+        value = one_field(fields, key, optional=True)
+        if value is not None:
+            setattr(inst, key, int_value(key, value, lo=lo))
+    platform, rank = inst.platform, inst.rank
+    for key, value in fields:
+        if key in ("elem", "agens", "bgens") and platform is None:
             raise ParseError(f"'{key}:' needs a 'platform:' line")
-        if key == "elem":
-            inst.elements.append(inst.platform.parse_element(value))
-        elif key == "target" and inst.platform is not None:
-            inst.target = inst.platform.parse_element(value)
-        elif key == "target" and inst.platform is None:
-            inst.target_word = parse_word(value, rank)
-        elif key == "source":
-            inst.source = parse_word(value, rank)
-        elif key == "u":
-            inst.u.append(parse_word(value, rank))
-        elif key == "v":
-            inst.v.append(parse_word(value, rank))
-        elif key == "a":
-            inst.a = parse_word(value, rank)
-        elif key == "b":
-            inst.b = parse_word(value, rank)
-        elif key == "phi":
-            inst.phi = _parse_map(value, rank)
-        elif key == "psi":
-            inst.psi = _parse_map(value, rank)
-        elif key == "agens":
-            inst.agens = _parse_gen_list(inst.platform, value)
-        elif key == "bgens":
-            inst.bgens = _parse_gen_list(inst.platform, value)
+        if key == "target" and platform is not None:
+            inst.target = platform.parse_element(value)
+        elif key in ("target", "source", "u", "v", "a", "b", "phi", "psi"):
+            if rank is None:
+                raise ParseError(f"'{key}:' needs a 'rank:' line")
+            if key in ("phi", "psi"):
+                setattr(inst, key, _parse_map(value, rank))
+            elif key in ("u", "v"):
+                getattr(inst, key).append(parse_word(value, rank))
+            else:
+                setattr(inst, "target_word" if key == "target" else key, parse_word(value, rank))
+        elif key == "elem":
+            inst.elements.append(platform.parse_element(value))
+        elif key in ("agens", "bgens"):
+            setattr(inst, key, parse_gens(platform, value))
     return inst
-
-
-def _parse_gen_list(platform: Platform, text: str) -> SubgroupGens:
-    return SubgroupGens(
-        platform, tuple(platform.parse_element(part) for part in text.split(";"))
-    )

@@ -26,7 +26,7 @@ from .platforms import (
     platform_from_spec,
     square_and_multiply,
 )
-from .words import Word, random_reduced_word
+from .words import Word, int_value, random_reduced_word, read_fields
 
 PROTOCOLS = (
     "dh",
@@ -100,31 +100,28 @@ def serialize_transcript(t: Transcript) -> str:
 
 
 def parse_transcript(text: str) -> Transcript:
+    """Inverse of serialize_transcript: '# key: value' headers, then
+    'seq sender label payload' records numbered from 1."""
     meta: dict = {}
     records = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    [fields] = read_fields(text)
+    for key, value in fields:
+        if key.startswith("#"):
+            name = key[1:].strip()
+            if name in meta:
+                raise ParseError(f"duplicate '{name}' header")
+            meta[name] = value
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" not in body:
-                raise ParseError(f"bad header line {raw!r}")
-            key, value = body.split(":", 1)
-            meta[key.strip()] = value.strip()
-            continue
-        parts = line.split(" ", 3)
-        if len(parts) != 4:
-            raise ParseError(f"bad record line {raw!r}")
-        records.append(TranscriptRecord(int(parts[0]), parts[1], parts[2], parts[3]))
+        parts = value.split(" ", 3)
+        if key or len(parts) != 4:
+            raise ParseError(f"bad record line {value!r}")
+        if parts[0] != str(len(records) + 1):
+            raise ParseError("record sequence numbers must increase from 1")
+        records.append(TranscriptRecord(len(records) + 1, *parts[1:]))
     if "protocol" not in meta or "platform" not in meta:
         raise ParseError("transcript is missing protocol/platform headers")
     platform = platform_from_spec(meta.pop("platform"))
-    t = Transcript(meta.pop("protocol"), platform, meta, records)
-    for i, r in enumerate(t.records, start=1):
-        if r.seq != i:
-            raise ParseError("record sequence numbers must increase from 1")
-    return t
+    return Transcript(meta.pop("protocol"), platform, meta, records)
 
 
 def serialize_gens(gens: SubgroupGens) -> str:
@@ -132,28 +129,25 @@ def serialize_gens(gens: SubgroupGens) -> str:
 
 
 def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -> SubgroupGens:
+    """Inverse of serialize_gens; ``structure`` is the '-structure' header
+    ('factor 1|2' or 'block top|bottom half'), if any."""
     elements = tuple(platform.parse_element(part) for part in text.split(";"))
     struct = None
-    if structure:
+    if structure is not None:
         parts = structure.split()
-        if parts[0] == "factor":
-            struct = ("factor", int(parts[1]))
-        elif parts[0] == "block":
-            struct = ("block", parts[1], int(parts[2]))
+        if parts[:1] == ["factor"] and len(parts) == 2:
+            struct = ("factor", int_value("structure", parts[1], 1, 2))
+        elif parts[:1] == ["block"] and len(parts) == 3 and parts[1] in ("top", "bottom"):
+            struct = ("block", parts[1], int_value("structure", parts[2], lo=0))
+        else:
+            raise ParseError(f"bad subgroup structure {structure!r}")
     return SubgroupGens(platform, elements, structure=struct)
-
-
-def _structure_text(gens: SubgroupGens) -> Optional[str]:
-    if gens.structure is None:
-        return None
-    return " ".join(str(v) for v in gens.structure)
 
 
 def _subgroup_meta(t: Transcript, name: str, gens: SubgroupGens) -> None:
     t.meta[name] = serialize_gens(gens)
-    st = _structure_text(gens)
-    if st:
-        t.meta[f"{name}-structure"] = st
+    if gens.structure is not None:
+        t.meta[f"{name}-structure"] = " ".join(str(v) for v in gens.structure)
 
 
 # ---------------------------------------------------------------------------

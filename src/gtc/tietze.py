@@ -20,11 +20,13 @@ from .errors import MoveError, ParseError, RankError
 from .words import (
     Word,
     free_reduce,
+    int_value,
     inverse_letters,
     invert,
     multiply,
     parse_word,
     random_reduced_word,
+    read_fields,
     serialize_word,
 )
 
@@ -132,6 +134,18 @@ def format_map(m: GenMap) -> str:
     return "\n".join(
         f"map: {i} -> {serialize_word(img)}" for i, img in enumerate(m.images, start=1)
     )
+
+
+def parse_map(fields, to_gens: int) -> GenMap:
+    """Inverse of format_map, from its fields (``words.read_fields``):
+    'map: i -> word' lines numbered 1..n in order."""
+    images = []
+    for i, (key, value) in enumerate(fields, start=1):
+        index, arrow, image = value.partition("->")
+        if key != "map" or not arrow or index.strip() != str(i):
+            raise ParseError(f"expected 'map: {i} -> word', got {key!r}: {value!r}")
+        images.append(parse_word(image, to_gens))
+    return GenMap(len(images), to_gens, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +580,21 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines)
 
 
-def parse_presentation(text: str) -> Presentation:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("generators:"):
+def presentation_from_fields(fields) -> Presentation:
+    """A 'generators: N' field, then 'relator: word' fields."""
+    if not fields or fields[0][0] != "generators":
         raise ParseError("presentation must start with a 'generators: N' line")
-    try:
-        n = int(lines[0].split(":", 1)[1])
-    except ValueError:
-        raise ParseError("bad generator count") from None
+    n = int_value("generators", fields[0][1], lo=1)
     relators = []
-    for ln in lines[1:]:
-        if not ln.startswith("relator:"):
-            raise ParseError(f"unexpected line {ln!r}")
-        relators.append(parse_word(ln.split(":", 1)[1], n))
+    for key, value in fields[1:]:
+        if key != "relator":
+            raise ParseError(f"expected a 'relator:' line, got {key!r}: {value!r}")
+        relators.append(parse_word(value, n))
     return Presentation(n, tuple(relators))
+
+
+def parse_presentation(text: str) -> Presentation:
+    return presentation_from_fields(read_fields(text)[0])
 
 
 def format_move(move: Move) -> str:
@@ -628,11 +643,19 @@ def format_chain(chain: TietzeChain) -> str:
     return "\n".join(format_move(move) for move in chain.moves)
 
 
-def replay_chain_file(start: Presentation, text: str) -> TietzeChain:
+def replay_moves(start: Presentation, fields, key: str = "move") -> TietzeChain:
+    """Apply the move line of each ``key`` field in turn, from ``start``."""
     builder = ChainBuilder(start)
-    for raw in text.strip().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        builder.apply(parse_move(line, builder.current.n_gens))
+    for k, line in fields:
+        if k != key:
+            raise ParseError(f"expected a move line, got {k!r}: {line!r}")
+        try:
+            builder.apply(parse_move(line, builder.current.n_gens))
+        except MoveError as exc:
+            raise ParseError(f"move {line!r} does not apply: {exc}") from None
     return builder.chain()
+
+
+def replay_chain_file(start: Presentation, text: str) -> TietzeChain:
+    """One move line per line; '#' lines are comments."""
+    return replay_moves(start, read_fields(text, comments=True)[0], key="")

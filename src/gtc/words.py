@@ -179,6 +179,57 @@ def parse_word(text: str, rank: int) -> Word:
     return Word(tuple(letters), rank)
 
 
+# ---------------------------------------------------------------------------
+# key files: the one line reader every text format is built on
+
+def read_fields(
+    text: str, cuts: tuple[str, ...] = (), comments: bool = False
+) -> list[list[tuple[str, str]]]:
+    """The non-blank lines of a key file as (key, value) fields, in blocks.
+
+    'key: value' splits at the first colon, a '[name]' line is ('[name]',
+    '') and any other line is ('', line).  A field whose key is in
+    ``cuts`` opens a new block; the first block holds the fields before
+    any cut.  With ``comments``, lines starting with '#' are skipped.
+    """
+    blocks: list[list[tuple[str, str]]] = [[]]
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or (comments and line.startswith("#")):
+            continue
+        key, colon, value = line.partition(":")
+        if line.startswith("[") and line.endswith("]"):
+            key, value = line, ""
+        elif not colon:
+            key, value = "", line
+        field = (key.strip(), value.strip())
+        if field[0] in cuts:
+            blocks.append([])
+        blocks[-1].append(field)
+    return blocks
+
+
+def one_field(fields, key: str, optional: bool = False) -> str | None:
+    """The value of the one 'key:' line in ``fields`` (None if there is
+    none and it is ``optional``)."""
+    values = [v for k, v in fields if k == key]
+    if len(values) > 1 or not (values or optional):
+        raise ParseError(f"expected one '{key}:' line, found {len(values)}")
+    return values[0] if values else None
+
+
+def int_value(key: str, value: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an integer in [lo, hi] (each end optional)."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError(f"'{key}:' needs an integer, got {value!r}") from None
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ParseError(f"'{key}:' must be {span}, got {n}")
+    return n
+
+
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse pairs from both ends of the reduced form."""
     letters = free_reduce(w).letters

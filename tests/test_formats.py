@@ -1,0 +1,360 @@
+"""The key-file boundary: every text format goes through words.read_fields.
+
+Three kinds of checks: arbitrary text into every reader returns or raises
+ParseError; parse after format is the identity; and malformed files
+given to the CLI exit 0 or exit 2 with 'error: ...', never a traceback.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtc import cli, homenc, wordenc
+from gtc.errors import ParseError
+from gtc.problems import parse_instance
+from gtc.protocols import PROTOCOLS, parse_transcript, serialize_transcript
+from gtc.tietze import (
+    format_chain,
+    format_map,
+    format_move,
+    format_presentation,
+    parse_map,
+    parse_move,
+    parse_presentation,
+    presentation,
+    random_chain,
+    replay_chain_file,
+)
+from gtc.words import int_value, one_field, random_word, read_fields
+
+# --- the reader ---------------------------------------------------------------
+
+
+def test_read_fields_keys_sections_and_cuts():
+    text = "a: 1\n\n  [S]  \nb : x: y\nside: 2\nt1 1,2\n# c: 3\n"
+    assert read_fields(text) == [[("a", "1"), ("[S]", ""), ("b", "x: y"),
+                                  ("side", "2"), ("", "t1 1,2"), ("# c", "3")]]
+    assert read_fields(text, cuts=("[S]", "side"), comments=True) == [
+        [("a", "1")], [("[S]", ""), ("b", "x: y")], [("side", "2"), ("", "t1 1,2")]]
+
+
+def test_one_field_and_int_value():
+    fields = [("a", "1"), ("b", "2"), ("b", "3")]
+    assert one_field(fields, "a") == "1"
+    assert one_field(fields, "c", optional=True) is None
+    for key in ("b", "c"):
+        with pytest.raises(ParseError):
+            one_field(fields, key)
+    assert int_value("n", " 7 ", lo=0) == 7
+    for value, lo, hi in (("x", None, None), ("-1", 0, None), ("3", 1, 2)):
+        with pytest.raises(ParseError):
+            int_value("n", value, lo, hi)
+
+
+# --- arbitrary text into every reader ----------------------------------------------
+
+KEYS = ["generators", "relator", "map", "perm", "move", "side", "kind", "trivial-index",
+        "presentation", "indices", "problem", "platform", "rank", "bound", "elem",
+        "target", "u", "v", "a", "b", "phi", "psi", "agens", "bgens", "source",
+        "# protocol", "# platform", "# A", "# A-structure"]
+# values stay short: a long digit run could name a presentation with millions
+# of generators, which the move replay would then allocate
+VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["e", "-", "1,2", "1,-2,3", "1 -> 2", "2 -> e", "t1 1", "t3 swap 1 2",
+                     "t4 1 inv", "trivial", "free", "free 2", "cyclic 23 5", "perm 3",
+                     "matrix 2 5", "2 1 3", "1 0 0 1", "1|e", "kp", "block top 2",
+                     "factor 1", "1;2", "1 Alice g^a 5"]),
+    st.text(alphabet="0123456789e,;-> |x:", max_size=3),
+)
+LINE = st.one_of(
+    st.tuples(st.sampled_from(KEYS), VALUES).map(lambda kv: f"{kv[0]}: {kv[1]}"),
+    st.sampled_from(["[G]", "[H-hat]", "[phi]", "[faithful]", "[chain]", "[discarded]",
+                     "1,2", "e", "t1 1,2", "1 Alice x 5", "2 Bob y 3", "", "#"]),
+    st.text(max_size=12),
+)
+TEXT = st.one_of(st.lists(LINE, max_size=14).map("\n".join), st.text(max_size=60))
+
+_HOM = homenc.hom_keygen(homenc.worked_example_presentation(),
+                         homenc.worked_example_faithful(), 3, 1, random.Random(5))
+_START = presentation(2, [[1, 2]])
+
+READERS = {
+    "presentation": parse_presentation,
+    "transcript": parse_transcript,
+    "instance": parse_instance,
+    "map": lambda text: parse_map(read_fields(text)[0], 3),
+    "chain-file": lambda text: replay_chain_file(_START, text),
+    "move": lambda text: parse_move(text, 3),
+    "trick-public": cli._parse_trick_public,
+    "trick-private": cli._parse_trick_private,
+    "hom-public": cli._parse_hom_public,
+    "hom-private": lambda text: cli._parse_hom_private(text, _HOM.public),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(text=TEXT)
+def test_every_reader_returns_or_raises_parse_error(name, text):
+    try:
+        READERS[name](text)
+    except ParseError:
+        pass
+
+
+# --- parse after format is the identity ----------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), protocol=st.sampled_from(PROTOCOLS))
+def test_transcript_roundtrip(seed, protocol, tmp_path_factory):
+    out = tmp_path_factory.mktemp("t") / "t.txt"
+    assert cli.main(["simulate", "--protocol", protocol, "--seed", str(seed),
+                     "--min-len", "1", "--max-len", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert serialize_transcript(parse_transcript(text)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 4), count=st.integers(0, 4))
+def test_presentation_chain_move_and_map_roundtrip(seed, n, count):
+    rng = random.Random(seed)
+    p = presentation(n, [random_word(n, (0, 6), rng).letters for _ in range(count)])
+    assert parse_presentation(format_presentation(p)) == p
+    chain = random_chain(p, 6, rng)
+    assert replay_chain_file(p, format_chain(chain)) == chain
+    current = p
+    for move in chain.moves:
+        assert parse_move(format_move(move), current.n_gens) == move
+        current = move.apply(current)[0]
+    for m in (chain.phi, chain.phi_inv):
+        assert parse_map(read_fields(format_map(m))[0], m.to_gens) == m
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), rank=st.integers(2, 3), chain_len=st.integers(0, 6))
+def test_trick_treat_key_roundtrip(seed, rank, chain_len):
+    key = wordenc.trick_treat_keygen(rank, chain_len, random.Random(seed))
+    public_text = cli._format_trick_public(key.publics)
+    private_text = cli._format_trick_private(key)
+    assert cli._parse_trick_public(public_text) == key.publics
+    assert cli._parse_trick_private(private_text) == key.private
+    again = wordenc.TrickTreatKey(key.publics, cli._parse_trick_private(private_text))
+    assert cli._format_trick_private(again) == private_text
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), group=st.sampled_from(["demo", "a5"]),
+       chain_len=st.integers(0, 6), discard=st.integers(0, 2))
+def test_hom_key_roundtrip(seed, group, chain_len, discard):
+    if group == "demo":
+        G, faithful = homenc.worked_example_presentation(), homenc.worked_example_faithful()
+    else:
+        G, faithful = homenc.a5_presentation(), homenc.a5_faithful()
+    discard = discard if chain_len else 0
+    kp = homenc.hom_keygen(G, faithful, chain_len, discard, random.Random(seed))
+    public = cli._parse_hom_public(cli._format_hom_public(kp.public))
+    assert public == kp.public
+    assert cli._parse_hom_private(cli._format_hom_private(kp), public) == kp
+
+
+# --- the CLI on malformed files -------------------------------------------------------
+
+def run(argv, capsys):
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _exits_2(argv, capsys, message=""):
+    code, out, err = run(argv, capsys)
+    assert code == 2, (argv, out, err)
+    assert err.startswith("error: "), err
+    assert message in err
+    return err
+
+
+@pytest.fixture
+def files(tmp_path, capsys):
+    """Valid files of every CLI format, written by the CLI itself."""
+    f = {name: tmp_path / name for name in
+         ("dh", "kolee", "decomp", "tpub", "tpriv", "tct", "hpub", "hpriv", "hct")}
+    for argv in (
+        ["simulate", "--protocol", "dh", "--seed", "1", "--out", f["dh"]],
+        ["simulate", "--protocol", "ko-lee", "--seed", "3", "--min-len", "1",
+         "--max-len", "2", "--out", f["kolee"]],
+        ["simulate", "--protocol", "decomp", "--seed", "1", "--min-len", "1",
+         "--max-len", "2", "--out", f["decomp"]],
+        ["wp-encrypt", "keygen", "--seed", "4", "--out-pub", f["tpub"],
+         "--out-priv", f["tpriv"]],
+        ["wp-encrypt", "encrypt", "--seed", "5", "--pub", f["tpub"], "--out", f["tct"]],
+        ["hom", "keygen", "--seed", "3", "--out-pub", f["hpub"], "--out-priv", f["hpriv"]],
+        ["hom", "encrypt", "--seed", "8", "--pub", f["hpub"], "--out", f["hct"]],
+    ):
+        assert run(argv, capsys)[0] == 0
+    return f
+
+
+def _commands(f):
+    """A command reading each file, keyed by the file's name."""
+    return {
+        "dh": ["attack", "--transcript", f["dh"], "--method", "dlog", "--bound", "30"],
+        "kolee": ["attack", "--transcript", f["kolee"], "--method", "csp", "--bound", "2"],
+        "decomp": ["attack", "--transcript", f["decomp"], "--method", "decomp-factor",
+                   "--bound", "2"],
+        "tpub": ["wp-encrypt", "encrypt", "--pub", f["tpub"], "--seed", "1"],
+        "tpriv": ["wp-encrypt", "decrypt", "--priv", f["tpriv"], "--ct", f["tct"]],
+        "tct": ["wp-encrypt", "decrypt", "--priv", f["tpriv"], "--ct", f["tct"]],
+        "hpub": ["hom", "decrypt", "--pub", f["hpub"], "--priv", f["hpriv"], "--ct", f["hct"]],
+        "hpriv": ["hom", "decrypt", "--pub", f["hpub"], "--priv", f["hpriv"], "--ct", f["hct"]],
+        "hct": ["hom", "decrypt", "--pub", f["hpub"], "--priv", f["hpriv"], "--ct", f["hct"]],
+    }
+
+
+JUNK = ["x", "", "-1", "0", "99", "1 2", "a: b", "[G]", "map: 9 -> 1", "perm: 1 2", ":",
+        "e", "-", "side: 3", "2a", "1,2,", "t9 1", "# A-structure: blob top 2"]
+
+
+def _mutate(lines, rng):
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines.insert(i, rng.choice(JUNK))
+    else:
+        key, colon, value = lines[i].partition(":")
+        tokens = (value if colon else key).split() or [""]
+        tokens[rng.randrange(len(tokens))] = rng.choice(JUNK)
+        lines[i] = f"{key}: {' '.join(tokens)}" if colon else " ".join(tokens)
+    return lines
+
+
+def test_mutation_fuzz_never_raises(files, capsys):
+    """Seeded one-line mutations of every valid file, run through cli.main."""
+    rng = random.Random(20181)
+    commands = _commands(files)
+    originals = {name: path.read_text() for name, path in files.items()}
+    codes = set()
+    for _ in range(36):
+        for name, argv in commands.items():
+            files[name].write_text("\n".join(_mutate(originals[name].splitlines(), rng)))
+            code, _, err = run(argv, capsys)
+            files[name].write_text(originals[name])
+            assert code in (0, 2), (name, err)
+            assert code == 0 or err.startswith("error: "), (name, err)
+            codes.add(code)
+    assert codes == {0, 2}
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def test_negative_bounds_exit_2(files, tmp_path, capsys):
+    instance = tmp_path / "kp.txt"
+    for problem, target in (("kp", "2 1 3"), ("smp", "1 2 3")):
+        instance.write_text(f"problem: {problem}\nplatform: perm 3\nelem: 2 1 3\n"
+                            f"target: {target}\nbound: -2\n")
+        _exits_2(["solve", problem, "--instance", instance], capsys, "'bound:'")
+    instance.write_text("problem: kp\nplatform: perm 3\nelem: 2 1 3\ntarget: 2 1 3\n")
+    _exits_2(["solve", "kp", "--instance", instance, "--bound", "-1"], capsys,
+             "--bound")
+    _exits_2(["attack", "--transcript", files["dh"], "--method", "dlog",
+              "--bound", "-5"], capsys, "--bound")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["hom", "encrypt"], "--pub"),
+    (["hom", "decrypt", "--pub", "hpub", "--ct", "hct"], "--priv"),
+    (["hom", "decrypt", "--pub", "hpub", "--priv", "hpriv"], "--ct"),
+    (["wp-encrypt", "encrypt"], "--pub"),
+    (["wp-encrypt", "decrypt", "--ct", "tct"], "--priv"),
+    (["wp-encrypt", "attack", "--priv", "tpriv"], "--ct"),
+])
+def test_missing_file_flag_exits_2(files, capsys, argv, flag):
+    err = _exits_2([files.get(a, a) for a in argv], capsys)
+    assert err.startswith(f"error: {flag} is required")
+
+
+def test_unreadable_files_exit_2(files, tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00junk")
+    _exits_2(["wp-encrypt", "encrypt", "--pub", binary], capsys, "cannot read pub")
+    _exits_2(["solve", "kp", "--instance", tmp_path / "missing"], capsys,
+             "cannot read instance")
+
+
+def test_ciphertext_line_count_exits_2_with_prefix(files, capsys):
+    files["tct"].write_text("1,2\n")
+    _exits_2(_commands(files)["tct"], capsys, "ciphertext must have 2 word line")
+    files["hct"].write_text("1\n2\n")
+    _exits_2(_commands(files)["hct"], capsys, "ciphertext must have 1 word line")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("trivial-index: 2", "trivial-index: 7", "'trivial-index:' must be between 1 and 2"),
+    ("trivial-index: 2", "trivial-index: x", "'trivial-index:' needs an integer"),
+    ("kind: free", "kind: banana", "cannot be 'banana'"),
+    ("kind: free", "kind: trivial", "cannot be 'trivial'"),
+    ("side: 2", "side: 3", "'side: 1' and 'side: 2'"),
+])
+def test_bad_trick_private_key_exits_2(files, capsys, old, new, message):
+    _edit(files["tpriv"], old, new)
+    _exits_2(_commands(files)["tpriv"], capsys, message)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("map: 3 -> 3,2", "map: 5 -> 3,2", "expected 'map: 3 -> word'"),
+    ("map: 3 -> 3,2\n", "", "one line per generator"),
+    ("perm: 1 4 3 5 2", "perm: 1 4 3 2", "share one degree"),
+    ("[phi]", "[psi]", "sections"),
+    ("perm: 2 1 4 3 5", "perm: 2 1 4 3 3", "not a permutation"),
+])
+def test_bad_hom_public_key_exits_2(files, capsys, old, new, message):
+    _edit(files["hpub"], old, new)
+    _exits_2(_commands(files)["hpub"], capsys, message)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("[discarded]\nindices: 1\n", "", "sections"),
+    ("indices: 1", "indices: 7", "'indices:' must be between 0 and 6"),
+    ("indices: 1", "indices: -1", "'indices:' must be between"),
+    ("generators: 3", "generators: 4", "does not match the public key"),
+    ("move: t1 1,1", "move: t2 9 1", "does not apply"),
+])
+def test_bad_hom_private_key_exits_2(files, capsys, old, new, message):
+    _edit(files["hpriv"], old, new)
+    _exits_2(_commands(files)["hpriv"], capsys, message)
+
+
+@pytest.mark.parametrize("structure", ["blob top 2", "block top 2a", "block middle 2",
+                                       "factor 3"])
+def test_bad_subgroup_structure_exits_2(files, capsys, structure):
+    _edit(files["kolee"], "A-structure: block top 2", f"A-structure: {structure}")
+    _exits_2(_commands(files)["kolee"], capsys, "structure")
+
+
+def test_bad_record_lines_exit_2(files, capsys):
+    _edit(files["dh"], "1 Alice", "x Alice")
+    _exits_2(_commands(files)["dh"], capsys, "sequence numbers")
+    _edit(files["dh"], "# protocol: dh", "# protocol: dh\n# protocol: dh")
+    _exits_2(_commands(files)["dh"], capsys, "duplicate 'protocol' header")
+
+
+def test_instance_word_lines_need_a_rank(tmp_path, capsys):
+    instance = tmp_path / "gpcp.txt"
+    instance.write_text("problem: gpcp\nu: 1\nv: 1\na: e\nb: e\nbound: 1\n")
+    _exits_2(["solve", "gpcp", "--instance", instance], capsys, "'rank:' line")
+    instance.write_text("problem: gpcp\nrank: 0\nu: 1\nv: 1\na: e\nb: e\nbound: 1\n")
+    _exits_2(["solve", "gpcp", "--instance", instance], capsys, "'rank:' must be")
