@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import AttackFailed
 from .platforms import (Element, Platform, SubgroupGens, bfs_words, enumerate_subgroup_values,
-                        eval_word, letter_table, meet_in_middle, signed_letters)
+                        eval_word, letter_table, meet_in_middle, signed_letters,
+                        square_and_multiply)
 from .problems import _recheck
 from .protocols import Transcript, parse_gens
 from .words import Word
@@ -129,11 +130,8 @@ def commutator_probe_decomposition(
 
 
 def commutator_probe_factorization(w_prime: Element, b1: Element) -> CspInstance:
-    """From w' = a b: [w', b1] b1^-1 = (b1^-1)^b."""
-    platform = w_prime.platform
-    u = platform.invert(b1)
-    v = platform.multiply(platform.commutator(w_prime, b1), platform.invert(b1))
-    return CspInstance(u, v)
+    """From w' = a b: [w', b1] b1^-1 = (b1^-1)^b, the decomposition probe at w = e."""
+    return commutator_probe_decomposition(w_prime, b1, w_prime.platform.identity())
 
 
 # From w' = a^-1 w a the same probe [w', b] b^-1 = (b^-w)^a is a CSP
@@ -229,6 +227,13 @@ def _transcript_subgroup(t: Transcript, name: str) -> SubgroupGens:
     return parse_gens(t.platform, t.header(name), t.meta.get(f"{name}-structure"))
 
 
+def _sandwich_view(t: Transcript, alice_label: str, bob_label: str):
+    """w, A and the two messages of an x w y exchange transcript."""
+    parse = t.platform.parse_element
+    w, A = parse(t.header("w")), _transcript_subgroup(t, "A")
+    return w, A, parse(t.find(alice_label)), parse(t.find(bob_label))
+
+
 def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
     platform = t.platform
     g = platform.generators()[0]
@@ -238,35 +243,24 @@ def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
     if found is None:
         return AttackReport("dlog", False, work={"multiplications": work},
                             notes="exponent not found within bound")
-    acc = platform.identity()
-    for _ in range(found):
-        acc = platform.multiply(acc, gb)
-    return AttackReport("dlog", True, recovered_key=acc,
+    return AttackReport("dlog", True, recovered_key=square_and_multiply(platform, gb, found),
                         work={"multiplications": work},
                         notes=f"recovered exponent {found}")
 
 
 def attack_ko_lee_csp(t: Transcript, bound: int) -> AttackReport:
-    platform = t.platform
-    w = platform.parse_element(t.header("w"))
-    A = _transcript_subgroup(t, "A")
-    wa = platform.parse_element(t.find("w^a"))
-    wb = platform.parse_element(t.find("w^b"))
+    w, A, wa, wb = _sandwich_view(t, "w^a", "w^b")
     expr, candidates = brute_force_csp(w, wa, A, bound)
     if expr is None:
         return AttackReport("csp", False, work={"candidates": candidates},
                             notes="no conjugator within bound")
-    key = platform.conjugate(wb, eval_word(A, expr))
+    key = t.platform.conjugate(wb, eval_word(A, expr))
     return AttackReport("csp", True, recovered_key=key,
                         work={"candidates": candidates})
 
 
 def attack_decomposition_normal(t: Transcript) -> AttackReport:
-    platform = t.platform
-    w = platform.parse_element(t.header("w"))
-    A = _transcript_subgroup(t, "A")
-    alice_msg = platform.parse_element(t.find("a1*w*a2"))
-    bob_msg = platform.parse_element(t.find("b1*w*b2"))
+    w, A, alice_msg, bob_msg = _sandwich_view(t, "a1*w*a2", "b1*w*b2")
     w2 = decomposition_to_factorization(w, alice_msg)
     try:
         a1, a2 = normal_subgroup_attack(w2, A)
@@ -280,10 +274,7 @@ def attack_decomposition_normal(t: Transcript) -> AttackReport:
 def attack_decomposition_factor(t: Transcript, bound: int) -> AttackReport:
     """Reduce to factorization over (A^w, A) and solve by double enumeration."""
     platform = t.platform
-    w = platform.parse_element(t.header("w"))
-    A = _transcript_subgroup(t, "A")
-    alice_msg = platform.parse_element(t.find("a1*w*a2"))
-    bob_msg = platform.parse_element(t.find("b1*w*b2"))
+    w, A, alice_msg, bob_msg = _sandwich_view(t, "a1*w*a2", "b1*w*b2")
     w2 = decomposition_to_factorization(w, alice_msg)
     multiply, w_inv = platform.multiply, platform.invert(w)
     conj_gens = SubgroupGens(
@@ -308,11 +299,8 @@ def attack_twisted_commutator_probe(t: Transcript, bound: int) -> AttackReport:
     """Probe the a1*w*b1 message with each published B generator, CSP-solve
     for the b side, then derive the a side and check it centralizes B."""
     platform = t.platform
-    w = platform.parse_element(t.header("w"))
-    A = _transcript_subgroup(t, "A")
+    w, _, alice_msg, bob_msg = _sandwich_view(t, "a1*w*b1", "b2*w*a2")
     B = _transcript_subgroup(t, "B")
-    alice_msg = platform.parse_element(t.find("a1*w*b1"))
-    bob_msg = platform.parse_element(t.find("b2*w*a2"))
     total_candidates = 0
     for probe in B.gens:
         instance = commutator_probe_decomposition(alice_msg, probe, w)
@@ -347,10 +335,10 @@ def attack_aag_length_based(t: Transcript, max_iters: int = 200) -> AttackReport
 
 
 ATTACK_DRIVERS: dict[str, Callable] = {
-    "dlog": lambda t, bound: attack_dh_dlog(t, bound),
-    "csp": lambda t, bound: attack_ko_lee_csp(t, bound),
+    "dlog": attack_dh_dlog,
+    "csp": attack_ko_lee_csp,
     "normal": lambda t, bound: attack_decomposition_normal(t),
-    "decomp-factor": lambda t, bound: attack_decomposition_factor(t, bound),
-    "commutator-probe": lambda t, bound: attack_twisted_commutator_probe(t, bound),
-    "length-based": lambda t, bound: attack_aag_length_based(t, bound),
+    "decomp-factor": attack_decomposition_factor,
+    "commutator-probe": attack_twisted_commutator_probe,
+    "length-based": attack_aag_length_based,
 }

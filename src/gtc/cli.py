@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import attacks, homenc, problems, protocols, tietze, wordenc
-from .errors import GtcError, ParseError
+from .errors import GtcError, ParseError, SetupError
 from .platforms import (
     CyclicModP,
     DirectFreePlatform,
@@ -35,10 +35,7 @@ from .words import Word, int_value, one_field, parse_word, read_fields, serializ
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("GTC_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return int_value("GTC_SEED", os.environ.get("GTC_SEED", "0"))
 
 
 def _read(path: str | None, flag: str) -> str:
@@ -50,6 +47,11 @@ def _read(path: str | None, flag: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {flag[2:]}: {exc}") from None
+
+
+def _given(value, default):
+    """A flag's value, an explicit 0 included; ``default`` if the flag is absent."""
+    return default if value is None else value
 
 
 def _write(path: str | None, text: str) -> None:
@@ -85,41 +87,46 @@ def _build_session(args, seed: int):
             f"protocol {name} does not run on the {args.platform} platform"
         )
     if name in ("dh", "elgamal"):
-        platform = CyclicModP(args.p or 23, args.g or 5)
+        platform = CyclicModP(_given(args.p, 23), _given(args.g, 5))
         if name == "dh":
             return protocols.dh_exchange(platform, rng)
         return protocols.elgamal_session(platform, rng)
     expr_len = (args.min_len, args.max_len)
     if name == "aag":
-        platform = FreePlatform(args.rank or 4)
+        platform = FreePlatform(_given(args.rank, 4))
+        if platform.rank < 2:
+            raise SetupError("aag needs --rank >= 2, one generator for each subgroup")
         gens = platform.generators()
         half = len(gens) // 2
         A = SubgroupGens(platform, tuple(gens[:half]))
         B = SubgroupGens(platform, tuple(gens[half:]))
         return protocols.aag_exchange(platform, A, B, rng, expr_len)
     if name == "semidirect":
-        platform = MatrixModP(args.n or 3, args.p or 1009)
+        platform = MatrixModP(_given(args.n, 3), _given(args.p, 1009))
         g = platform.random_element(rng)
         h = platform.random_element(rng)
         phi = protocols.inner_automorphism(platform, h)
         return protocols.semidirect_exchange(platform, g, phi, rng)
     if name == "centralizer":
-        platform = MatrixModP(args.n or 4, args.p or 5)
+        platform = MatrixModP(_given(args.n, 4), _given(args.p, 5))
         w = platform.random_element(rng)
         return protocols.centralizer_exchange(platform, w, rng)
     if name == "commutative":
-        platform = MatrixModP(args.n or 4, args.p or 5)
+        platform = MatrixModP(_given(args.n, 4), _given(args.p, 5))
         A = cyclic_subgroup(platform.random_element(rng))
         B = cyclic_subgroup(platform.random_element(rng))
         w = platform.random_element(rng)
         return protocols.commutative_subgroups_exchange(platform, w, A, B, rng, expr_len)
     # commuting-subgroup family: ko-lee, decomp, twisted, factor
     if args.platform == "direct":
-        platform = DirectFreePlatform(args.rank or 2, args.rank or 2)
-        A, B = direct_factor_subgroups(platform)
+        rank = _given(args.rank, 2)
+        A, B = direct_factor_subgroups(DirectFreePlatform(rank, rank))
     else:
-        A, B = block_commuting_subgroups(args.n or 4, args.p or 5, 2, 2, rng)
-        platform = A.platform
+        n = _given(args.n, 4)
+        if n < 4 or n % 2:
+            raise SetupError(f"{name} on the matrix platform needs an even --n >= 4")
+        A, B = block_commuting_subgroups(n, _given(args.p, 5), 2, 2, rng)
+    platform = A.platform
     w = platform.random_element(rng)
     if name == "ko-lee":
         return protocols.ko_lee_exchange(platform, w, A, B, rng, expr_len)
@@ -144,8 +151,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if args.bound < 0:
-        raise ParseError("--bound must not be negative")
     transcript = protocols.parse_transcript(_read(args.transcript, "--transcript"))
     driver = attacks.ATTACK_DRIVERS[args.method]
     report = driver(transcript, args.bound)
@@ -421,11 +426,9 @@ def cmd_solve(args) -> int:
         if getattr(inst, name) is None:
             line = "target" if name == "target_word" else name
             raise ParseError(f"{args.problem} instance has no '{line}:' line")
-    bound = args.bound if args.bound is not None else inst.bound
+    bound = _given(args.bound, inst.bound)
     if bound is None and args.problem != "ssp":
         raise ParseError(f"{args.problem} instance has no 'bound:' line and no --bound")
-    if bound is not None and bound < 0:
-        raise ParseError("--bound must not be negative")
     if args.problem == "ssp":
         witness = problems.ssp_decide(inst.platform, inst.elements, inst.target)
         print("witness: " + (",".join(map(str, witness)) if witness is not None else "absent"))
@@ -543,10 +546,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each size and count flag; a smaller one is a usage error
+_LEAST = {"bound": 0, "chain_len": 0, "discard": 0, "steps": 0, "trials": 1,
+          "p": 1, "g": 1, "n": 1, "rank": 1}
+
+
+def _check_least(args) -> None:
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ParseError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_least(args)
         return args.func(args)
     except (GtcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

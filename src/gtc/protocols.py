@@ -144,10 +144,17 @@ def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -
     return SubgroupGens(platform, elements, structure=struct)
 
 
-def _subgroup_meta(t: Transcript, name: str, gens: SubgroupGens) -> None:
-    t.meta[name] = serialize_gens(gens)
-    if gens.structure is not None:
-        t.meta[f"{name}-structure"] = " ".join(str(v) for v in gens.structure)
+def _transcript(protocol: str, platform: Platform, w: Optional[Element] = None,
+                **subgroups: SubgroupGens) -> Transcript:
+    """A new transcript carrying the public w and the named generator lists."""
+    t = Transcript(protocol, platform)
+    if w is not None:
+        t.meta["w"] = platform.serialize_element(w)
+    for name, gens in subgroups.items():
+        t.meta[name] = serialize_gens(gens)
+        if gens.structure is not None:
+            t.meta[f"{name}-structure"] = " ".join(str(v) for v in gens.structure)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +177,11 @@ def sample_expr(
 ) -> SubgroupExpr:
     """Random private subgroup element, remembered as an expression."""
     return SubgroupExpr(gens, random_reduced_word(len(gens), len_range, rng))
+
+
+def _draw(rng: random.Random, expr_len: tuple[int, int], **subgroups: SubgroupGens) -> dict:
+    """One private expression per keyword, drawn in keyword order."""
+    return {name: sample_expr(gens, rng, expr_len) for name, gens in subgroups.items()}
 
 
 def check_commuting(a: SubgroupGens, b: SubgroupGens) -> None:
@@ -266,6 +278,25 @@ def elgamal_session(
 # ---------------------------------------------------------------------------
 # conjugacy and decomposition family
 
+def _sandwich(t: Transcript, w: Element, alice: tuple, bob: tuple,
+              secrets: dict) -> SessionOutcome:
+    """The x w y exchange.  ``alice`` is (label, x1, y1) and ``bob`` is
+    (label, x2, y2): Alice publishes x1 w y1 and Bob x2 w y2 under those
+    record labels.  Each key is the party's own pair around the peer's
+    message, so the keys x1 x2 w y2 y1 and x2 x1 w y1 y2 agree when x1
+    commutes with x2 and y1 with y2."""
+    pf = t.platform
+
+    def around(x: Element, m: Element, y: Element) -> Element:
+        return pf.multiply(pf.multiply(x, m), y)
+
+    (label_a, x1, y1), (label_b, x2, y2) = alice, bob
+    m_alice, m_bob = around(x1, w, y1), around(x2, w, y2)
+    t.add("Alice", label_a, m_alice)
+    t.add("Bob", label_b, m_bob)
+    return SessionOutcome(t, around(x1, m_bob, y1), around(x2, m_alice, y2), secrets)
+
+
 def ko_lee_exchange(
     platform: Platform,
     w: Element,
@@ -274,22 +305,14 @@ def ko_lee_exchange(
     rng: random.Random,
     expr_len: tuple[int, int] = (8, 16),
 ) -> SessionOutcome:
-    """Conjugation exchange: transcript carries w^a and w^b, key is w^(ab)."""
+    """Conjugation exchange: transcript carries w^a and w^b, key is w^(ab).
+    This is the x w y exchange on the pairs (a^-1, a) and (b^-1, b)."""
     check_commuting(A, B)
-    ea = sample_expr(A, rng, expr_len)
-    eb = sample_expr(B, rng, expr_len)
-    a, b = ea.value, eb.value
-    wa = platform.conjugate(w, a)
-    wb = platform.conjugate(w, b)
-    t = Transcript("ko-lee", platform)
-    t.meta["w"] = platform.serialize_element(w)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
-    t.add("Alice", "w^a", wa)
-    t.add("Bob", "w^b", wb)
-    key_alice = platform.conjugate(wb, a)
-    key_bob = platform.conjugate(wa, b)
-    return SessionOutcome(t, key_alice, key_bob, {"a": ea, "b": eb})
+    secrets = _draw(rng, expr_len, a=A, b=B)
+    a, b = (e.value for e in secrets.values())
+    t = _transcript("ko-lee", platform, w, A=A, B=B)
+    inv = platform.invert
+    return _sandwich(t, w, ("w^a", inv(a), a), ("w^b", inv(b), b), secrets)
 
 
 def aag_exchange(
@@ -302,12 +325,10 @@ def aag_exchange(
     """Commutator exchange; works in any non-abelian platform, no
     commuting-subgroup requirement.  Secrets are expressions over the
     public generator lists, never bare elements."""
-    ex = sample_expr(A, rng, expr_len)
-    ey = sample_expr(B, rng, expr_len)
+    secrets = _draw(rng, expr_len, x=A, y=B)
+    ex, ey = secrets["x"], secrets["y"]
     x, y = ex.value, ey.value
-    t = Transcript("aag", platform)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
+    t = _transcript("aag", platform, A=A, B=B)
     b_conj = [platform.conjugate(bj, x) for bj in B.gens]
     for j, el in enumerate(b_conj, start=1):
         t.add("Alice", f"b{j}^x", el)
@@ -320,7 +341,7 @@ def aag_exchange(
     # Bob: y(b_1^x, ...) = y^x, multiply by y^-1 on the left, invert.
     y_x = eval_word(SubgroupGens(platform, tuple(b_conj)), ey.expr)
     key_bob = platform.invert(platform.multiply(platform.invert(y), y_x))
-    return SessionOutcome(t, key_alice, key_bob, {"x": ex, "y": ey})
+    return SessionOutcome(t, key_alice, key_bob, secrets)
 
 
 def decomposition_exchange(
@@ -333,22 +354,10 @@ def decomposition_exchange(
 ) -> SessionOutcome:
     """Both parties sandwich the public w; key is a1 b1 w b2 a2."""
     check_commuting(A, B)
-    e_a1, e_a2 = sample_expr(A, rng, expr_len), sample_expr(A, rng, expr_len)
-    e_b1, e_b2 = sample_expr(B, rng, expr_len), sample_expr(B, rng, expr_len)
-    a1, a2, b1, b2 = e_a1.value, e_a2.value, e_b1.value, e_b2.value
-    m_alice = platform.multiply(platform.multiply(a1, w), a2)
-    m_bob = platform.multiply(platform.multiply(b1, w), b2)
-    t = Transcript("decomp", platform)
-    t.meta["w"] = platform.serialize_element(w)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
-    t.add("Alice", "a1*w*a2", m_alice)
-    t.add("Bob", "b1*w*b2", m_bob)
-    key_alice = platform.multiply(platform.multiply(a1, m_bob), a2)
-    key_bob = platform.multiply(platform.multiply(b1, m_alice), b2)
-    return SessionOutcome(
-        t, key_alice, key_bob, {"a1": e_a1, "a2": e_a2, "b1": e_b1, "b2": e_b2}
-    )
+    secrets = _draw(rng, expr_len, a1=A, a2=A, b1=B, b2=B)
+    a1, a2, b1, b2 = (e.value for e in secrets.values())
+    t = _transcript("decomp", platform, w, A=A, B=B)
+    return _sandwich(t, w, ("a1*w*a2", a1, a2), ("b1*w*b2", b1, b2), secrets)
 
 
 def twisted_exchange(
@@ -361,22 +370,10 @@ def twisted_exchange(
 ) -> SessionOutcome:
     """Each party mixes one element from each subgroup; key is b2 a1 w b1 a2."""
     check_commuting(A, B)
-    e_a1, e_b1 = sample_expr(A, rng, expr_len), sample_expr(B, rng, expr_len)
-    e_b2, e_a2 = sample_expr(B, rng, expr_len), sample_expr(A, rng, expr_len)
-    a1, b1, b2, a2 = e_a1.value, e_b1.value, e_b2.value, e_a2.value
-    m_alice = platform.multiply(platform.multiply(a1, w), b1)
-    m_bob = platform.multiply(platform.multiply(b2, w), a2)
-    t = Transcript("twisted", platform)
-    t.meta["w"] = platform.serialize_element(w)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
-    t.add("Alice", "a1*w*b1", m_alice)
-    t.add("Bob", "b2*w*a2", m_bob)
-    key_alice = platform.multiply(platform.multiply(a1, m_bob), b1)
-    key_bob = platform.multiply(platform.multiply(b2, m_alice), a2)
-    return SessionOutcome(
-        t, key_alice, key_bob, {"a1": e_a1, "b1": e_b1, "b2": e_b2, "a2": e_a2}
-    )
+    secrets = _draw(rng, expr_len, a1=A, b1=B, b2=B, a2=A)
+    a1, b1, b2, a2 = (e.value for e in secrets.values())
+    t = _transcript("twisted", platform, w, A=A, B=B)
+    return _sandwich(t, w, ("a1*w*b1", a1, b1), ("b2*w*a2", b2, a2), secrets)
 
 
 def centralizer_exchange(
@@ -396,24 +393,14 @@ def centralizer_exchange(
     if b2 is None:
         b2 = platform.random_element(rng)
     B_pub = matrix_centralizer_sample(b2, cent_gens, rng)
-    t = Transcript("centralizer", platform)
-    t.meta["w"] = platform.serialize_element(w)
-    for i, el in enumerate(A_pub.gens, start=1):
-        t.add("Alice", f"centA{i}", el)
-    for j, el in enumerate(B_pub.gens, start=1):
-        t.add("Bob", f"centB{j}", el)
-    e_a2 = sample_expr(B_pub, rng, expr_len)  # from Bob's published subgroup
-    e_b1 = sample_expr(A_pub, rng, expr_len)  # from Alice's published subgroup
-    a2, b1 = e_a2.value, e_b1.value
-    p_a = platform.multiply(platform.multiply(a1, w), a2)
-    p_b = platform.multiply(platform.multiply(b1, w), b2)
-    t.add("Alice", "a1*w*a2", p_a)
-    t.add("Bob", "b1*w*b2", p_b)
-    key_alice = platform.multiply(platform.multiply(a1, p_b), a2)
-    key_bob = platform.multiply(platform.multiply(b1, p_a), b2)
-    return SessionOutcome(
-        t, key_alice, key_bob, {"a1": a1, "a2": e_a2, "b1": e_b1, "b2": b2}
-    )
+    t = _transcript("centralizer", platform, w)
+    for sender, name, pub in (("Alice", "centA", A_pub), ("Bob", "centB", B_pub)):
+        for i, el in enumerate(pub.gens, start=1):
+            t.add(sender, f"{name}{i}", el)
+    drawn = _draw(rng, expr_len, a2=B_pub, b1=A_pub)  # each from the peer's subgroup
+    a2, b1 = (e.value for e in drawn.values())
+    return _sandwich(t, w, ("a1*w*a2", a1, a2), ("b1*w*b2", b1, b2),
+                     {"a1": a1, **drawn, "b2": b2})
 
 
 def commutative_subgroups_exchange(
@@ -428,22 +415,10 @@ def commutative_subgroups_exchange(
     each other); key is a1 a2 w b2 b1."""
     check_commutative(A)
     check_commutative(B)
-    e_a1, e_b1 = sample_expr(A, rng, expr_len), sample_expr(B, rng, expr_len)
-    e_a2, e_b2 = sample_expr(A, rng, expr_len), sample_expr(B, rng, expr_len)
-    a1, b1, a2, b2 = e_a1.value, e_b1.value, e_a2.value, e_b2.value
-    m_alice = platform.multiply(platform.multiply(a1, w), b1)
-    m_bob = platform.multiply(platform.multiply(a2, w), b2)
-    t = Transcript("commutative", platform)
-    t.meta["w"] = platform.serialize_element(w)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
-    t.add("Alice", "a1*w*b1", m_alice)
-    t.add("Bob", "a2*w*b2", m_bob)
-    key_alice = platform.multiply(platform.multiply(a1, m_bob), b1)
-    key_bob = platform.multiply(platform.multiply(a2, m_alice), b2)
-    return SessionOutcome(
-        t, key_alice, key_bob, {"a1": e_a1, "b1": e_b1, "a2": e_a2, "b2": e_b2}
-    )
+    secrets = _draw(rng, expr_len, a1=A, b1=B, a2=A, b2=B)
+    a1, b1, a2, b2 = (e.value for e in secrets.values())
+    t = _transcript("commutative", platform, w, A=A, B=B)
+    return _sandwich(t, w, ("a1*w*b1", a1, b1), ("a2*w*b2", a2, b2), secrets)
 
 
 def factorization_exchange(
@@ -455,21 +430,16 @@ def factorization_exchange(
 ) -> SessionOutcome:
     """Products of one element from each commuting subgroup; key a2 a1 b1 b2."""
     check_commuting(A, B)
-    e_a1, e_b1 = sample_expr(A, rng, expr_len), sample_expr(B, rng, expr_len)
-    e_a2, e_b2 = sample_expr(A, rng, expr_len), sample_expr(B, rng, expr_len)
-    a1, b1, a2, b2 = e_a1.value, e_b1.value, e_a2.value, e_b2.value
+    secrets = _draw(rng, expr_len, a1=A, b1=B, a2=A, b2=B)
+    a1, b1, a2, b2 = (e.value for e in secrets.values())
     m_alice = platform.multiply(a1, b1)
     m_bob = platform.multiply(a2, b2)
-    t = Transcript("factor", platform)
-    _subgroup_meta(t, "A", A)
-    _subgroup_meta(t, "B", B)
+    t = _transcript("factor", platform, A=A, B=B)
     t.add("Alice", "a1*b1", m_alice)
     t.add("Bob", "a2*b2", m_bob)
     key_alice = platform.multiply(platform.multiply(b1, m_bob), a1)
     key_bob = platform.multiply(platform.multiply(a2, m_alice), b2)
-    return SessionOutcome(
-        t, key_alice, key_bob, {"a1": e_a1, "b1": e_b1, "a2": e_a2, "b2": e_b2}
-    )
+    return SessionOutcome(t, key_alice, key_bob, secrets)
 
 
 # ---------------------------------------------------------------------------

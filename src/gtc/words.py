@@ -107,15 +107,6 @@ def commutator(x: Word, y: Word) -> Word:
     return free_reduce(Word._trusted(inv_xy + x.letters + y.letters, x.rank))
 
 
-def power(w: Word, n: int) -> Word:
-    """w^n, reduced (n may be negative)."""
-    base = invert(w) if n < 0 else free_reduce(w)
-    out = empty_word(w.rank)
-    for _ in range(abs(n)):
-        out = multiply(out, base)
-    return out
-
-
 def random_word(rank: int, len_range: tuple[int, int], rng: random.Random) -> Word:
     """Uniform random word: length uniform over the inclusive range, each
     letter uniform over the 2*rank signed indices.  Not reduced on output;

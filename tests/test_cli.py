@@ -437,3 +437,69 @@ def test_solve_problem_mismatch_exits_2_with_error_prefix(tmp_path, capsys):
     code, _, err = run(["solve", "smp", "--instance", str(instance)], capsys)
     assert code == 2
     assert err == "error: instance is a kp problem, not smp\n"
+
+
+# --- simulate transcripts and bad numeric flags -----------------------------
+
+# sha256 of the transcript file followed by the summary line
+SIMULATE_PINS = {
+    ("dh", None): "b7a1f08ef61a7782754d9b6f3e5d945918b71e97ae462df9958dc2415401746f",
+    ("elgamal", None): "2740528e166220f9722bd90583ee81cebc1b95aabb42e6ca83430acf080ce03b",
+    ("ko-lee", None): "22336e55162f3b5cca0231c447cd041df668cd0e57eea79aa87f1d099ed002ae",
+    ("aag", None): "46d229049722697d2a1856fe9f303bfc479b20a04b5035a279e0207c043a9eee",
+    ("decomp", None): "3b17a92346a461aacb2aa5d7c8a552cf74b49f50b589f0ce64b32e81775110b5",
+    ("twisted", None): "9adf61a836341a8cfb7ba56e06b62193beb22ac71b98c808b3cfb4a770cf482a",
+    ("centralizer", None): "aebd6cc854b9dc353ba0fd4f65e3fd0d507c48aab5ca17b7941c8e8701c8b466",
+    ("commutative", None): "c397166115cdbdb478a7dbf08756fb181c3a4d6cf63d4b0f9b1c1304338f09bf",
+    ("factor", None): "957454390b6891b75623ce43fd66717ba86ccdf9948b0d6d21f859b83a327457",
+    ("semidirect", None): "996cbae8f430ba5f027face6f854efa22163197fb101db215ffd357e67a9e613",
+    ("ko-lee", "direct"): "39677808a3068672743f079aa8faf83176049775b7e92858ed1fdc31d5e5afe0",
+    ("decomp", "direct"): "f06d3553995a35038dc199f3d45daccd5d6215038f1ab70aae5f34adccd4e566",
+    ("twisted", "direct"): "eef67ea191c7c3a22e65aee3dc92c3e80d3a6b9c22a59c56b8f27e1888cae966",
+    ("factor", "direct"): "480dcfc997e5411dd4f991cc0967727f35efb2c4960d8035c399597fb96b4b83",
+}
+
+
+@pytest.mark.parametrize("protocol,platform", list(SIMULATE_PINS))
+def test_simulate_golden_pins(tmp_path, capsys, protocol, platform):
+    path = tmp_path / "transcript.txt"
+    argv = ["simulate", "--protocol", protocol, "--seed", "3", "--out", str(path)]
+    code, out, _ = run(argv + (["--platform", platform] if platform else []), capsys)
+    assert code == 0
+    digest = hashlib.sha256((path.read_text() + out).encode()).hexdigest()
+    assert digest == SIMULATE_PINS[(protocol, platform)]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["montecarlo", "--trials", "0"], "--trials"),
+    (["montecarlo", "--trials", "-1"], "--trials"),
+    (["hom", "keygen", "--discard", "-1"], "--discard"),
+    (["hom", "keygen", "--chain-len", "-2"], "--chain-len"),
+    (["wp-encrypt", "keygen", "--chain-len", "-3"], "--chain-len"),
+    (["hom", "encrypt", "--steps", "-3"], "--steps"),
+    (["simulate", "--protocol", "semidirect", "--n", "0"], "--n"),
+    (["simulate", "--protocol", "dh", "--p", "0"], "--p"),
+    (["simulate", "--protocol", "decomp", "--platform", "direct", "--rank", "0"], "--rank"),
+    (["simulate", "--protocol", "ko-lee", "--n", "3"], "--n"),
+    (["simulate", "--protocol", "aag", "--rank", "1"], "--rank"),
+    (["simulate", "--protocol", "factor", "--platform", "direct", "--rank", "-1"], "--rank"),
+])
+def test_bad_sizes_and_counts_exit_2(tmp_path, capsys, argv, flag):
+    # every other input is valid, so only the flag under test can fail
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    if argv[:2] == ["hom", "encrypt"]:
+        run(["hom", "keygen", "--seed", "1", "--out-pub", str(pub), "--out-priv", str(priv)],
+            capsys)
+        argv = argv + ["--pub", str(pub)]
+    elif argv[1] == "keygen":
+        argv = argv + ["--out-pub", str(pub), "--out-priv", str(priv)]
+    code, _, err = run(argv, capsys)
+    assert code == 2, argv
+    assert err.startswith("error: ") and flag in err, err
+
+
+def test_non_integer_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GTC_SEED", "abc")
+    code, _, err = run(["simulate", "--protocol", "dh"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "GTC_SEED" in err, err

@@ -412,3 +412,14 @@ def test_t3_rejects_malformed_ops(op):
         with pytest.raises(ParseError):
             parse_move(line, 3)
 
+
+
+def test_break_relators_budget_guard_keeps_the_2x_bound():
+    # Taking the largest syllable boundary at every step would end at 23
+    # letters here; the budget guard forces the maximal shrink instead.
+    p = presentation(2, [[-2, -2, -1, -1, -1, -2, -2, -2, -1, -1, -1]])
+    chain = break_relators(p, 3)
+    assert p.total_length() == 11
+    assert chain.end.total_length() <= 2 * p.total_length()
+    assert all(len(r) <= 4 for r in chain.end.relators)
+    assert compose_chain(chain) == (chain.phi, chain.phi_inv)
