@@ -15,19 +15,10 @@ import argparse
 import os
 import sys
 
-from . import attacks, homenc, problems, protocols, tietze, wordenc
+# Only the modules the parser and the shared helpers need are imported
+# here; each command imports the layers it runs, so a process pays only
+# for the subcommand it was given.
 from .errors import GtcError, ParseError, SetupError
-from .platforms import (
-    CyclicModP,
-    DirectFreePlatform,
-    FreePlatform,
-    MatrixModP,
-    PermutationPlatform,
-    SubgroupGens,
-    block_commuting_subgroups,
-    cyclic_subgroup,
-    direct_factor_subgroups,
-)
 from .rng import stream
 from .words import Word, int_value, one_field, parse_word, read_fields, serialize_word
 
@@ -65,21 +56,30 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
+# in protocols.PROTOCOLS order: the keys are the --protocol choices
 _PROTOCOL_PLATFORMS = {
     "dh": {"cyclic"},
     "elgamal": {"cyclic"},
-    "aag": {"free"},
-    "semidirect": {"matrix"},
-    "centralizer": {"matrix"},
-    "commutative": {"matrix"},
     "ko-lee": {"matrix", "direct"},
+    "aag": {"free"},
     "decomp": {"matrix", "direct"},
     "twisted": {"matrix", "direct"},
+    "centralizer": {"matrix"},
+    "commutative": {"matrix"},
     "factor": {"matrix", "direct"},
+    "semidirect": {"matrix"},
 }
+
+# the keys of attacks.ATTACK_DRIVERS, sorted: the --method choices
+_ATTACK_METHODS = ("commutator-probe", "csp", "decomp-factor", "dlog", "length-based", "normal")
 
 
 def _build_session(args, seed: int):
+    from . import protocols
+    from .platforms import (CyclicModP, DirectFreePlatform, FreePlatform, MatrixModP,
+                            SubgroupGens, block_commuting_subgroups, cyclic_subgroup,
+                            direct_factor_subgroups)
+
     rng = stream(seed)
     name = args.protocol
     if args.platform is not None and args.platform not in _PROTOCOL_PLATFORMS[name]:
@@ -138,6 +138,8 @@ def _build_session(args, seed: int):
 
 
 def cmd_simulate(args) -> int:
+    from . import protocols
+
     seed = _resolve_seed(args)
     outcome = _build_session(args, seed)
     _write(args.out, protocols.serialize_transcript(outcome.transcript))
@@ -151,6 +153,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import attacks, protocols
+
     transcript = protocols.parse_transcript(_read(args.transcript, "--transcript"))
     driver = attacks.ATTACK_DRIVERS[args.method]
     report = driver(transcript, args.bound)
@@ -173,6 +177,8 @@ GOLDEN_CIPHERTEXT = "5,5,-4,5,4,2,-6,2"
 
 
 def cmd_paper_examples(_args) -> int:
+    from . import homenc, tietze
+
     failures = []
     chain = homenc.worked_example_chain()
     phi_text = tietze.format_map(chain.phi)
@@ -211,6 +217,8 @@ def cmd_paper_examples(_args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from . import wordenc
+
     seed = _resolve_seed(args)
     stats = wordenc.run_trick_treat_trials(
         args.trials, seed, len_range=(args.min_len, args.max_len)
@@ -235,6 +243,8 @@ def cmd_montecarlo(args) -> int:
 # word-problem encryption files
 
 def _format_trick_private(key: wordenc.TrickTreatKey) -> str:
+    from . import tietze
+
     lines = [f"trivial-index: {key.private.trivial_index}"]
     for idx, side in enumerate(key.private.sides, start=1):
         lines += [f"side: {idx}", f"kind: {side.kind}",
@@ -244,6 +254,8 @@ def _format_trick_private(key: wordenc.TrickTreatKey) -> str:
 
 
 def _parse_trick_private(text: str) -> wordenc.TrickTreatPrivate:
+    from . import tietze, wordenc
+
     head, *blocks = read_fields(text, cuts=("side",))
     trivial_index = int_value("trivial-index", one_field(head, "trivial-index"), 1, 2)
     if len(head) != 1 or [block[0][1] for block in blocks] != ["1", "2"]:
@@ -255,21 +267,25 @@ def _parse_trick_private(text: str) -> wordenc.TrickTreatPrivate:
             raise ParseError(f"side {idx} cannot be {kind!r} at trivial-index {trivial_index}")
         pres = [f for f in block[1:] if f[0] not in ("kind", "move")]
         moves = [f for f in block if f[0] == "move"]
-        chain = tietze.replay_moves(tietze.presentation_from_fields(pres), moves)
+        chain = tietze.replay_moves(tietze.presentation_from_fields(pres, len(text)), moves)
         sides.append(wordenc.DisguisedGroup(chain.end, chain, kind))
     return wordenc.TrickTreatPrivate(trivial_index, (sides[0], sides[1]))
 
 
 def _format_trick_public(publics) -> str:
+    from . import tietze
+
     return "".join(f"presentation: {idx}\n{tietze.format_presentation(pres)}\n"
                    for idx, pres in enumerate(publics, start=1))
 
 
 def _parse_trick_public(text: str):
+    from . import tietze
+
     head, *blocks = read_fields(text, cuts=("presentation",))
     if head or [block[0][1] for block in blocks] != ["1", "2"]:
         raise ParseError("public key must contain presentations 1 and 2")
-    return tuple(tietze.presentation_from_fields(block[1:]) for block in blocks)
+    return tuple(tietze.presentation_from_fields(block[1:], len(text)) for block in blocks)
 
 
 def _read_ciphertext(path: str | None, ranks: list[int]) -> list[Word]:
@@ -281,6 +297,8 @@ def _read_ciphertext(path: str | None, ranks: list[int]) -> list[Word]:
 
 
 def cmd_wp_encrypt(args) -> int:
+    from . import wordenc
+
     seed = _resolve_seed(args)
     rng = stream(seed)
     if args.action == "keygen":
@@ -316,6 +334,8 @@ def cmd_wp_encrypt(args) -> int:
 # homomorphic encryption files
 
 def _format_hom_public(pk: homenc.HomomorphicPublicKey) -> str:
+    from . import tietze
+
     lines = ["[G]", tietze.format_presentation(pk.G),
              "[H-hat]", tietze.format_presentation(pk.H_hat),
              "[phi]", tietze.format_map(pk.phi), "[faithful]"]
@@ -333,9 +353,12 @@ def _sections(text: str, names: tuple[str, ...]) -> list[list]:
 
 
 def _parse_hom_public(text: str) -> homenc.HomomorphicPublicKey:
+    from . import homenc, tietze
+    from .platforms import PermutationPlatform
+
     g, h_hat, maps, perms = _sections(text, ("G", "H-hat", "phi", "faithful"))
-    G = tietze.presentation_from_fields(g)
-    H_hat = tietze.presentation_from_fields(h_hat)
+    G = tietze.presentation_from_fields(g, len(text))
+    H_hat = tietze.presentation_from_fields(h_hat, len(text))
     phi = tietze.parse_map(maps, H_hat.n_gens)
     faithful = []
     for key, value in perms:
@@ -350,6 +373,8 @@ def _parse_hom_public(text: str) -> homenc.HomomorphicPublicKey:
 
 
 def _format_hom_private(kp: homenc.HomomorphicKeyPair) -> str:
+    from . import tietze
+
     lines = ["[G]", tietze.format_presentation(kp.private.chain.start), "[chain]"]
     lines += [f"move: {tietze.format_move(move)}" for move in kp.private.chain.moves]
     lines.append("[discarded]")
@@ -359,8 +384,10 @@ def _format_hom_private(kp: homenc.HomomorphicKeyPair) -> str:
 
 
 def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc.HomomorphicKeyPair:
+    from . import homenc, tietze
+
     g, moves, discarded = _sections(text, ("G", "chain", "discarded"))
-    G = tietze.presentation_from_fields(g)
+    G = tietze.presentation_from_fields(g, len(text))
     chain = tietze.replay_moves(G, moves)
     if G != public.G or chain.end.n_gens != public.H_hat.n_gens:
         raise ParseError("private key does not match the public key")
@@ -374,6 +401,8 @@ def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc
 
 
 def cmd_hom(args) -> int:
+    from . import homenc
+
     seed = _resolve_seed(args)
     rng = stream(seed)
     if args.action == "keygen":
@@ -419,6 +448,9 @@ _SOLVE_FIELDS = {
 
 
 def cmd_solve(args) -> int:
+    from . import problems
+    from .platforms import FreePlatform
+
     inst = problems.parse_instance(_read(args.instance, "--instance"))
     if inst.problem != args.problem:
         raise ParseError(f"instance is a {inst.problem} problem, not {args.problem}")
@@ -474,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a seeded protocol session")
-    sim.add_argument("--protocol", required=True, choices=protocols.PROTOCOLS)
+    sim.add_argument("--protocol", required=True, choices=list(_PROTOCOL_PLATFORMS))
     sim.add_argument("--platform", choices=["matrix", "direct", "free", "cyclic"],
                      default=None)
     sim.add_argument("--p", type=int, default=None)
@@ -489,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     atk = sub.add_parser("attack", help="run an attack against a transcript file")
     atk.add_argument("--transcript", required=True)
-    atk.add_argument("--method", required=True, choices=sorted(attacks.ATTACK_DRIVERS))
+    atk.add_argument("--method", required=True, choices=_ATTACK_METHODS)
     atk.add_argument("--bound", type=int, default=1000)
     atk.add_argument("--out", default=None)
     atk.set_defaults(func=cmd_attack)
@@ -558,9 +590,14 @@ def _check_least(args) -> None:
             raise ParseError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
+_parser = None  # built on the first call to main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         _check_least(args)
         return args.func(args)

@@ -580,11 +580,16 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines)
 
 
-def presentation_from_fields(fields) -> Presentation:
-    """A 'generators: N' field, then 'relator: word' fields."""
+def presentation_from_fields(fields, size: int) -> Presentation:
+    """A 'generators: N' field, then 'relator: word' fields.
+
+    ``size`` is the length of the text the fields were read from.  N may
+    not exceed it: replaying a move builds one word per generator, so an
+    unbounded N would let a short file claim any amount of memory.
+    """
     if not fields or fields[0][0] != "generators":
         raise ParseError("presentation must start with a 'generators: N' line")
-    n = int_value("generators", fields[0][1], lo=1)
+    n = int_value("generators", fields[0][1], lo=1, hi=size)
     relators = []
     for key, value in fields[1:]:
         if key != "relator":
@@ -594,7 +599,7 @@ def presentation_from_fields(fields) -> Presentation:
 
 
 def parse_presentation(text: str) -> Presentation:
-    return presentation_from_fields(read_fields(text)[0])
+    return presentation_from_fields(read_fields(text)[0], len(text))
 
 
 def format_move(move: Move) -> str:

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+from gtc import attacks, cli, protocols
 from gtc.cli import main
 
 
@@ -503,3 +507,87 @@ def test_non_integer_seed_variable_exits_2(capsys, monkeypatch):
     code, _, err = run(["simulate", "--protocol", "dh"], capsys)
     assert code == 2
     assert err.startswith("error: ") and "GTC_SEED" in err, err
+
+
+# --- the parser and the imports each command pays for ----------------------
+
+# sha256 of `gtc [command] --help` at 80 columns
+HELP_PINS = {
+    "": "3c5dcf8348e656ff99b16e4f5d9d31e4200f9ca67962ed7dcf48440d7c82f636",
+    "simulate": "530551975cc04c29be3cd6b24fed8864fb869a7390a22c51a0b638c5405bf890",
+    "attack": "a55656e169994addbbb2cb8b1a86e5a13b2b1d5ae36590077e46f3bd59e80001",
+    "paper-examples": "2ef44336e557c89a46f7702de0873585c8e6fd8f70690d71082bb30d1bb91a49",
+    "montecarlo": "d610af9cedbbc629652b80ac89e3682186f2e926016b5fa657681cd5cd3b1941",
+    "wp-encrypt": "53b3691538051c279618c9618d7cc6d4046b9801fbb2081f4207697c2b1eb1bc",
+    "hom": "0ed8f5a5e3d40ac2d0d30be6138f4481ec51038e2fd08c90ab439f444645e489",
+    "solve": "1d06094f85c8c46e8845c7b58f173eb3cc9107dbc1fe207d9b98c042b534f37b",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_PINS))
+def test_help_texts_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"] if command else ["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_PINS[command], out
+
+
+def _fresh_gtc(argv, *flags):
+    """Run `python [flags] -m gtc argv` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("GTC_SEED", None)
+    return subprocess.run([sys.executable, *flags, "-m", "gtc", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GTC_SEED", raising=False)
+    transcript, instance = tmp_path / "t.txt", tmp_path / "i.txt"
+    instance.write_text("\n".join(["problem: gpcp"] + SOLVE_PINS[2][1]) + "\n")
+    simulate = ["simulate", "--protocol", "ko-lee", "--min-len", "3", "--max-len", "3",
+                "--seed", "3", "--out", str(transcript)]
+    argvs = [
+        ["simulate", "--protocol", "nope"],  # argparse usage error
+        ["attack", "--transcript", str(transcript), "--method", "csp", "--bound", "-1"],
+        simulate,
+        ["attack", "--transcript", str(transcript), "--method", "csp", "--bound", "3"],
+        ["solve", "gpcp", "--instance", str(instance)],
+        simulate,
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [c for c, _, _ in in_process] == [2, 2, 0, 0, 0, 0]
+    for argv, got in zip(argvs, in_process):
+        proc = _fresh_gtc(argv)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_commands_import_only_the_layers_they_run():
+    proc = _fresh_gtc(["simulate", "--protocol", "dh"], "-X", "importtime")
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert imported.isdisjoint({f"gtc.{name}" for name in (
+        "attacks", "problems", "homenc", "wordenc", "tietze", "rewriting")}), imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gtc.cli; print(' '.join(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    loaded = {n for n in proc.stdout.split() if n == "gtc" or n.startswith("gtc.")}
+    assert loaded == {"gtc", "gtc.cli", "gtc.errors", "gtc.rng", "gtc.words"}
+
+
+def test_parser_name_tables_match_the_layers():
+    assert tuple(cli._PROTOCOL_PLATFORMS) == protocols.PROTOCOLS
+    assert list(cli._ATTACK_METHODS) == sorted(attacks.ATTACK_DRIVERS)

@@ -6,6 +6,7 @@ given to the CLI exit 0 or exit 2 with 'error: ...', never a traceback.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +359,35 @@ def test_instance_word_lines_need_a_rank(tmp_path, capsys):
     _exits_2(["solve", "gpcp", "--instance", instance], capsys, "'rank:' line")
     instance.write_text("problem: gpcp\nrank: 0\nu: 1\nv: 1\na: e\nb: e\nbound: 1\n")
     _exits_2(["solve", "gpcp", "--instance", instance], capsys, "'rank:' must be")
+
+
+# --- declared sizes ----------------------------------------------------------------------
+
+def test_generator_count_is_bounded_by_the_file_length():
+    # 102 bytes declaring 100,000 generators: replaying the one move built a
+    # word per generator (a 48.8 MB peak) before anything was checked
+    text = ("trivial-index: 1\nside: 1\nkind: trivial\ngenerators: 100000\nmove: t1 1\n"
+            "side: 2\nkind: free\ngenerators: 1\n")
+    assert len(text.encode()) == 102
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="'generators:' must be between 1 and 102"):
+            cli._parse_trick_private(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# keygen refuses --rank 1 itself (exit 2)
+@pytest.mark.parametrize("argv", [["wp-encrypt", "keygen", "--rank", rank]
+                                  for rank in range(2, 9)]
+                         + [["hom", "keygen", "--group", group] for group in ("demo", "a5")])
+def test_keys_the_cli_writes_read_back(tmp_path, capsys, argv):
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    assert run(argv + ["--seed", 1, "--out-pub", pub, "--out-priv", priv], capsys)[0] == 0
+    if argv[0] == "hom":
+        cli._parse_hom_private(priv.read_text(), cli._parse_hom_public(pub.read_text()))
+    else:
+        cli._parse_trick_public(pub.read_text())
+        cli._parse_trick_private(priv.read_text())
