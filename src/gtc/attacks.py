@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import AttackFailed
+from .errors import AttackFailed, ParseError
 from .platforms import (Element, Platform, SubgroupGens, bfs_words, enumerate_subgroup_values,
-                        eval_word, letter_table, meet_in_middle, signed_letters,
-                        square_and_multiply)
+                        eval_word, meet_in_middle, signed_letters, square_and_multiply)
 from .problems import _recheck
 from .protocols import Transcript, parse_gens
 from .words import Word
@@ -71,7 +70,7 @@ def brute_force_csp(
     until u^x = v.  Complete up to the bound: any planted expression of
     length <= max_len is found (possibly as a shorter equivalent)."""
     platform = gens.platform
-    multiply, table = platform.multiply, letter_table(gens)
+    multiply, table = platform.multiply, gens.letter_table
     conjugates = bfs_words(u, signed_letters(len(gens)),
                            lambda x, l: multiply(multiply(table[-l], x), table[l]), max_len)
     candidates = 0
@@ -175,7 +174,7 @@ def length_based_attack(
     if len(observed) != len(B.gens):
         raise AttackFailed("transcript does not carry one conjugate per generator")
     a_conj = [platform.parse_element(p) for p in transcript.find_all("a")]
-    multiply, table = platform.multiply, letter_table(A)
+    multiply, table = platform.multiply, A.letter_table
     current = list(observed)
     base = list(B.gens)
     peeled: list[int] = []
@@ -236,9 +235,11 @@ def _sandwich_view(t: Transcript, alice_label: str, bob_label: str):
 
 def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
     platform = t.platform
-    g = platform.generators()[0]
     ga = platform.parse_element(t.find("g^a"))
     gb = platform.parse_element(t.find("g^b"))
+    if platform.kind != "cyclic":
+        raise ParseError(f"dlog needs a cyclic platform, not {platform.kind}")
+    g = platform.generators()[0]
     found, work = brute_force_dlog(platform, g, ga, bound)
     if found is None:
         return AttackReport("dlog", False, work={"multiplications": work},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import KeygenError, RankError
 from .platforms import Element, PermutationPlatform, SubgroupGens, eval_word
@@ -19,7 +20,6 @@ from .rewriting import (
     PairInsert,
     RelatorInsert,
     Substitute,
-    apply_moves,
     random_substitution,
 )
 from .tietze import (
@@ -45,6 +45,12 @@ class HomomorphicPublicKey:
     G: Presentation
     H_hat: Presentation
     faithful: tuple[Element, ...]  # permutation image of each G generator
+
+    @cached_property
+    def faithful_gens(self) -> SubgroupGens:
+        """The faithful images as a generator list; its letter table, and
+        so each inverse image, is computed once per key."""
+        return SubgroupGens(self.faithful[0].platform, self.faithful)
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,13 @@ def hom_keygen(
     chain_len: int,
     discard_count: int,
     rng: random.Random,
-    break_len: int = 3,
 ) -> HomomorphicKeyPair:
-    """Private chain = relator breaking plus ``chain_len`` random moves;
-    then ``discard_count`` randomly chosen relators are withheld."""
+    """Private chain = relator breaking (to length 3) plus ``chain_len``
+    random moves; then ``discard_count`` random relators are withheld."""
     check_faithful_images(G, faithful)
     builder = ChainBuilder(G)
     if chain_len > 0:
-        for move in break_relators(G, break_len).moves:
+        for move in break_relators(G, 3).moves:
             builder.apply(move)
         for _ in range(chain_len):
             builder.apply(random_move(builder.current, rng))
@@ -99,16 +104,6 @@ def hom_keygen(
     return HomomorphicKeyPair(
         HomomorphicPublicKey(chain.phi, G, H_hat, faithful),
         HomomorphicPrivateKey(chain.phi_inv, H, chain, discarded),
-    )
-
-
-def identity_keypair(G: Presentation, faithful: tuple[Element, ...]) -> HomomorphicKeyPair:
-    """chain_len=0, discard_count=0: phi is the identity and H_hat = G."""
-    check_faithful_images(G, faithful)
-    chain = ChainBuilder(G).chain()
-    return HomomorphicKeyPair(
-        HomomorphicPublicKey(chain.phi, G, G, faithful),
-        HomomorphicPrivateKey(chain.phi_inv, G, chain, frozenset()),
     )
 
 
@@ -156,8 +151,7 @@ def hom_encrypt(
 
 def eval_faithful(pk: HomomorphicPublicKey, w: Word) -> Element:
     """Canonical form of the element a G-word represents."""
-    gens = SubgroupGens(pk.faithful[0].platform, pk.faithful)
-    return eval_word(gens, w)
+    return eval_word(pk.faithful_gens, w)
 
 
 def hom_decrypt(keys: HomomorphicKeyPair, ct: Word) -> Element:
@@ -255,7 +249,9 @@ def worked_example_encryption() -> tuple[Word, list, Word]:
 def scripted_encrypt(pk: HomomorphicPublicKey, w_g: Word, moves) -> Word:
     """Deterministic encryption with an explicit move script."""
     ct = apply_map(pk.phi, Word(w_g.letters, pk.phi.from_gens))
-    return apply_moves(ct, pk.H_hat, moves)
+    for move in moves:
+        ct = move.apply(ct, pk.H_hat)
+    return ct
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from typing import Callable, Optional
 
 from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
 from .words import Word, empty_word, free_reduce, parse_word, random_reduced_word, serialize_word
 
+
+# tries of each rejection sampler for an invertible matrix before SamplingError
+SAMPLE_TRIES = 100
 
 # ---------------------------------------------------------------------------
 # exact linear algebra mod p
@@ -99,6 +103,15 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _check_modulus(p: int) -> None:
+    """SetupError unless p is a prime below 2^31, where the trial divisions
+    of is_prime and _prime_factors end in milliseconds."""
+    if p >= 1 << 31:
+        raise SetupError(f"modulus {p} is not below 2^31")
+    if not is_prime(p):
+        raise SetupError(f"{p} is not prime")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -205,8 +218,8 @@ class FreePlatform(Platform):
     def parse_element(self, text: str) -> Element:
         return self.element(parse_word(text, self.rank))
 
-    def random_element(self, rng: random.Random, len_range=(1, 8)) -> Element:
-        return Element(self, random_reduced_word(self.rank, len_range, rng))
+    def random_element(self, rng: random.Random) -> Element:
+        return Element(self, random_reduced_word(self.rank, (1, 8), rng))
 
     def spec(self) -> str:
         return f"free {self.rank}"
@@ -221,8 +234,7 @@ class CyclicModP(Platform):
     kind: str = field(default="cyclic", init=False)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise SetupError(f"{self.p} is not prime")
+        _check_modulus(self.p)
         if not 1 <= self.g <= self.p - 1:
             raise SetupError(f"generator {self.g} not a residue mod {self.p}")
 
@@ -280,7 +292,7 @@ class PermutationPlatform(Platform):
 
     def element(self, images) -> Element:
         img = tuple(images)
-        if sorted(img) != list(range(1, self.degree + 1)):
+        if len(img) != self.degree or sorted(img) != list(range(1, self.degree + 1)):
             raise ValueError(f"{img} is not a permutation of 1..{self.degree}")
         return Element(self, img)
 
@@ -330,8 +342,7 @@ class MatrixModP(Platform):
     kind: str = field(default="matrix", init=False)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise SetupError(f"{self.p} is not prime")
+        _check_modulus(self.p)
         if self.n < 1:
             raise SetupError("matrix size must be positive")
 
@@ -389,8 +400,8 @@ class MatrixModP(Platform):
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    def random_element(self, rng: random.Random, budget: int = 100) -> Element:
-        for _ in range(budget):
+    def random_element(self, rng: random.Random) -> Element:
+        for _ in range(SAMPLE_TRIES):
             rows = tuple(
                 tuple(rng.randrange(self.p) for _ in range(self.n)) for _ in range(self.n)
             )
@@ -454,12 +465,12 @@ class DirectFreePlatform(Platform):
             parse_word(parts[0], self.rank1), parse_word(parts[1], self.rank2)
         )
 
-    def random_element(self, rng: random.Random, len_range=(0, 6)) -> Element:
+    def random_element(self, rng: random.Random) -> Element:
         return Element(
             self,
             (
-                random_reduced_word(self.rank1, len_range, rng),
-                random_reduced_word(self.rank2, len_range, rng),
+                random_reduced_word(self.rank1, (0, 6), rng),
+                random_reduced_word(self.rank2, (0, 6), rng),
             ),
         )
 
@@ -467,23 +478,24 @@ class DirectFreePlatform(Platform):
         return f"direct {self.rank1} {self.rank2}"
 
 
+# each spec kind with its class and number of integer parameters
+_PLATFORM_KINDS = {"free": (FreePlatform, 1), "cyclic": (CyclicModP, 2),
+                   "perm": (PermutationPlatform, 1), "matrix": (MatrixModP, 2),
+                   "direct": (DirectFreePlatform, 2)}
+
+
 def platform_from_spec(text: str) -> Platform:
     """Inverse of Platform.spec()."""
-    parts = text.split()
+    kind, *params = text.split() or [""]
+    if kind not in _PLATFORM_KINDS:
+        raise ParseError(f"unknown platform kind {kind!r}")
+    cls, arity = _PLATFORM_KINDS[kind]
+    if len(params) != arity:
+        raise ParseError(f"bad platform spec {text!r}: {kind} takes {arity} parameter(s)")
     try:
-        if parts[0] == "free":
-            return FreePlatform(int(parts[1]))
-        if parts[0] == "cyclic":
-            return CyclicModP(int(parts[1]), int(parts[2]))
-        if parts[0] == "perm":
-            return PermutationPlatform(int(parts[1]))
-        if parts[0] == "matrix":
-            return MatrixModP(int(parts[1]), int(parts[2]))
-        if parts[0] == "direct":
-            return DirectFreePlatform(int(parts[1]), int(parts[2]))
-    except (IndexError, ValueError, SetupError) as exc:
+        return cls(*map(int, params))
+    except (ValueError, SetupError) as exc:
         raise ParseError(f"bad platform spec {text!r}: {exc}") from None
-    raise ParseError(f"unknown platform kind {parts[0]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +520,15 @@ class SubgroupGens:
 
     def __len__(self) -> int:
         return len(self.gens)
+
+    @cached_property
+    def letter_table(self) -> dict[int, Element]:
+        """gens[i-1] under letter i and its inverse under -i; each generator
+        is inverted once per list, and every caller reads the same table."""
+        table = {}
+        for i, g in enumerate(self.gens, start=1):
+            table[i], table[-i] = g, self.platform.invert(g)
+        return table
 
     def contains(self, e: Element) -> Optional[bool]:
         """Structural membership; None when no test is available."""
@@ -539,17 +560,10 @@ def eval_word(gens: SubgroupGens, w: Word) -> Element:
     """Substitute gens[i-1] for letter i (inverse for negative letters)."""
     if w.rank > len(gens.gens):
         raise RankError(f"word rank {w.rank} exceeds {len(gens.gens)} generators")
-    platform = gens.platform
-    inv_cache: dict[int, Element] = {}
-    out = platform.identity()
+    multiply, table = gens.platform.multiply, gens.letter_table
+    out = gens.platform.identity()
     for letter in w.letters:
-        if letter > 0:
-            out = platform.multiply(out, gens.gens[letter - 1])
-        else:
-            idx = -letter - 1
-            if idx not in inv_cache:
-                inv_cache[idx] = platform.invert(gens.gens[idx])
-            out = platform.multiply(out, inv_cache[idx])
+        out = multiply(out, table[letter])
     return out
 
 
@@ -574,15 +588,6 @@ ENUM_GUARD = 1 << 24
 def signed_letters(k: int) -> list[int]:
     """Letter order of expression enumeration: 1, -1, 2, -2, ..., k, -k."""
     return [l for i in range(1, k + 1) for l in (i, -i)]
-
-
-def letter_table(gens: SubgroupGens) -> dict[int, Element]:
-    """gens[i-1] under letter i and its inverse under -i; each generator
-    is inverted once."""
-    table = {}
-    for i, g in enumerate(gens.gens, start=1):
-        table[i], table[-i] = g, gens.platform.invert(g)
-    return table
 
 
 def bfs_words(start, letters, step: Callable, bound: int, key: Optional[Callable] = None):
@@ -626,7 +631,7 @@ def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
     """Distinct subgroup elements reachable by expressions of length
     <= max_len, in BFS order: {payload: (value, letters)}, where letters
     is the first (shortest) expression of the value."""
-    multiply, table = gens.platform.multiply, letter_table(gens)
+    multiply, table = gens.platform.multiply, gens.letter_table
     return {
         value.payload: (value, expr)
         for expr, value in bfs_words(
@@ -716,9 +721,7 @@ def direct_factor_subgroups(platform: DirectFreePlatform) -> tuple[SubgroupGens,
     )
 
 
-def matrix_centralizer_sample(
-    g: Element, k: int, rng: random.Random, budget: int = 100
-) -> SubgroupGens:
+def matrix_centralizer_sample(g: Element, k: int, rng: random.Random) -> SubgroupGens:
     """Sample k invertible matrices commuting with g.
 
     Solves the linear system Xg - gX = 0 over Z_p and rejection-samples
@@ -747,7 +750,7 @@ def matrix_centralizer_sample(
         raise SamplingError("centralizer solution space is empty")  # cannot happen: I commutes
     samples = []
     for _ in range(k):
-        for attempt in range(budget):
+        for attempt in range(SAMPLE_TRIES):
             coeffs = [rng.randrange(p) for _ in basis]
             vec = [0] * (n * n)
             for c, b in zip(coeffs, basis):

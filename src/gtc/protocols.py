@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Optional
 
 from .errors import ParseError, SetupError
@@ -72,9 +73,6 @@ class Transcript:
             )
         )
 
-    def payloads(self) -> list[str]:
-        return [r.payload for r in self.records]
-
     def find(self, label: str) -> str:
         for r in self.records:
             if r.label == label:
@@ -130,18 +128,23 @@ def serialize_gens(gens: SubgroupGens) -> str:
 
 def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -> SubgroupGens:
     """Inverse of serialize_gens; ``structure`` is the '-structure' header
-    ('factor 1|2' or 'block top|bottom half'), if any."""
+    ('factor 1|2' on a direct platform or 'block top|bottom half' on a
+    matrix one), if any, and every generator must lie in it."""
     elements = tuple(platform.parse_element(part) for part in text.split(";"))
     struct = None
     if structure is not None:
         parts = structure.split()
-        if parts[:1] == ["factor"] and len(parts) == 2:
+        if parts[:1] == ["factor"] and len(parts) == 2 and platform.kind == "direct":
             struct = ("factor", int_value("structure", parts[1], 1, 2))
-        elif parts[:1] == ["block"] and len(parts) == 3 and parts[1] in ("top", "bottom"):
-            struct = ("block", parts[1], int_value("structure", parts[2], lo=0))
+        elif (parts[:1] == ["block"] and len(parts) == 3 and parts[1] in ("top", "bottom")
+              and platform.kind == "matrix"):
+            struct = ("block", parts[1], int_value("structure", parts[2], 1, platform.n - 1))
         else:
-            raise ParseError(f"bad subgroup structure {structure!r}")
-    return SubgroupGens(platform, elements, structure=struct)
+            raise ParseError(f"bad subgroup structure {structure!r} on a {platform.kind} platform")
+    gens = SubgroupGens(platform, elements, structure=struct)
+    if struct is not None and not all(gens.contains(g) for g in elements):
+        raise ParseError(f"a generator lies outside its subgroup structure {structure!r}")
+    return gens
 
 
 def _transcript(protocol: str, platform: Platform, w: Optional[Element] = None,
@@ -172,33 +175,21 @@ class SessionOutcome:
         return self.key_alice == self.key_bob
 
 
-def sample_expr(
-    gens: SubgroupGens, rng: random.Random, len_range: tuple[int, int] = (8, 16)
-) -> SubgroupExpr:
-    """Random private subgroup element, remembered as an expression."""
-    return SubgroupExpr(gens, random_reduced_word(len(gens), len_range, rng))
-
-
 def _draw(rng: random.Random, expr_len: tuple[int, int], **subgroups: SubgroupGens) -> dict:
-    """One private expression per keyword, drawn in keyword order."""
-    return {name: sample_expr(gens, rng, expr_len) for name, gens in subgroups.items()}
+    """One private expression per keyword, drawn in keyword order: a random
+    reduced word of a length in ``expr_len`` over that generator list."""
+    return {name: SubgroupExpr(gens, random_reduced_word(len(gens), expr_len, rng))
+            for name, gens in subgroups.items()}
 
 
-def check_commuting(a: SubgroupGens, b: SubgroupGens) -> None:
-    """Elementwise commutation, verified on generator pairs."""
+def check_commuting(a: SubgroupGens, b: Optional[SubgroupGens] = None) -> None:
+    """Elementwise commutation of a with b, verified on generator pairs;
+    without b, of a's generators with each other."""
     pf = a.platform
-    for x in a.gens:
-        for y in b.gens:
-            if pf.multiply(x, y) != pf.multiply(y, x):
-                raise SetupError("subgroups do not commute elementwise")
-
-
-def check_commutative(a: SubgroupGens) -> None:
-    pf = a.platform
-    for i, x in enumerate(a.gens):
-        for y in a.gens[i + 1:]:
-            if pf.multiply(x, y) != pf.multiply(y, x):
-                raise SetupError("generator list is not commutative")
+    pairs = combinations(a.gens, 2) if b is None else product(a.gens, b.gens)
+    for x, y in pairs:
+        if pf.multiply(x, y) != pf.multiply(y, x):
+            raise SetupError("generators do not commute elementwise")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +404,8 @@ def commutative_subgroups_exchange(
 ) -> SessionOutcome:
     """A and B are each internally commutative (they need not commute with
     each other); key is a1 a2 w b2 b1."""
-    check_commutative(A)
-    check_commutative(B)
+    check_commuting(A)
+    check_commuting(B)
     secrets = _draw(rng, expr_len, a1=A, b1=B, a2=A, b2=B)
     a1, b1, a2, b2 = (e.value for e in secrets.values())
     t = _transcript("commutative", platform, w, A=A, B=B)
@@ -529,17 +520,17 @@ def semidirect_exchange(
     rng: random.Random,
     m: Optional[int] = None,
     n: Optional[int] = None,
-    exp_range: tuple[int, int] = (1, 50),
 ) -> SessionOutcome:
-    """Exchange over the cyclic extension of the platform by phi.
+    """Exchange over the cyclic extension of the platform by phi; the
+    secret exponents m and n are drawn from 1..50 unless given.
 
     Only the first components of the semidirect pairs are ever placed on
     the transcript; the automorphism powers stay private by construction.
     """
     if m is None:
-        m = rng.randint(*exp_range)
+        m = rng.randint(1, 50)
     if n is None:
-        n = rng.randint(*exp_range)
+        n = rng.randint(1, 50)
     power = phi.semidirect_powers(g)
     a_msg, phi_m = power(m)
     b_msg, phi_n = power(n)

@@ -90,15 +90,6 @@ class Substitute:
         )
 
 
-RewriteMove = PairInsert | RelatorInsert | Substitute
-
-
-def apply_moves(w: Word, pres: Presentation, moves) -> Word:
-    for move in moves:
-        w = move.apply(w, pres)
-    return w
-
-
 def random_substitution(
     w: Word, pres: Presentation, rng: random.Random
 ) -> Substitute | None:

@@ -6,7 +6,7 @@ composed isomorphism and its inverse.  The inverse map is the private
 key of the isomorphism-inversion encryption scheme, so it is only ever
 produced by replaying the chain, never by searching.
 
-Relator indices are 0-based in the API and 1-based in chain files.
+Relator indices are 0-based in the API and 1-based in move lines.
 """
 
 from __future__ import annotations
@@ -347,22 +347,6 @@ class T4Move:
 Move = T1Move | T2Move | T3Move | T4Move
 
 
-def t1_introduce(p: Presentation, s: Word):
-    return T1Move(s).apply(p)
-
-
-def t2_cancel(p: Presentation, relator_index: int, gen_index: int):
-    return T2Move(relator_index, gen_index).apply(p)
-
-
-def t3_automorphism(p: Presentation, op: tuple):
-    return T3Move(op).apply(p)
-
-
-def t4p_modify(p: Presentation, i: int, action: str, arg: Optional[int] = None):
-    return T4Move(i, action, arg).apply(p)
-
-
 # ---------------------------------------------------------------------------
 # chains
 
@@ -414,14 +398,6 @@ class ChainBuilder:
 
     def chain(self) -> TietzeChain:
         return TietzeChain(self.start, tuple(self.moves), self.current, tuple(self.steps))
-
-    @property
-    def phi(self) -> GenMap:
-        return self.chain().phi
-
-    @property
-    def phi_inv(self) -> GenMap:
-        return self.chain().phi_inv
 
 
 def compose_chain(chain: TietzeChain) -> tuple[GenMap, GenMap]:
@@ -517,20 +493,16 @@ def break_relators(p: Presentation, max_len: int) -> TietzeChain:
 # ---------------------------------------------------------------------------
 # random chains
 
-def random_move(
-    p: Presentation,
-    rng: random.Random,
-    max_word_len: int = 3,
-    max_relator_len: int = 24,
-) -> Move:
-    """A random T1 / T3 / T4' move that is legal on ``p``."""
+def random_move(p: Presentation, rng: random.Random) -> Move:
+    """A random T1 / T3 / T4' move that is legal on ``p``: a T1 word has 1
+    to 3 letters, and a T4' product at most 24."""
     kinds = ["t1", "t3"]
     if len(p.relators) >= 1:
         kinds.append("t4")
     kind = rng.choice(kinds)
     n = p.n_gens
     if kind == "t1":
-        s = random_reduced_word(n, (1, max_word_len), rng)
+        s = random_reduced_word(n, (1, 3), rng)
         return T1Move(s)
     if kind == "t3":
         if n == 1:
@@ -550,7 +522,7 @@ def random_move(
     mul_ok = [
         j
         for j in range(len(p.relators))
-        if j != i and len(p.relators[i]) + len(p.relators[j]) <= max_relator_len
+        if j != i and len(p.relators[i]) + len(p.relators[j]) <= 24
     ]
     if mul_ok:
         actions += ["mul_right", "mul_right_inv", "mul_left", "mul_left_inv"]
@@ -562,12 +534,10 @@ def random_move(
     return T4Move(i, "inv")
 
 
-def random_chain(
-    start: Presentation, length: int, rng: random.Random, **move_kwargs
-) -> TietzeChain:
+def random_chain(start: Presentation, length: int, rng: random.Random) -> TietzeChain:
     builder = ChainBuilder(start)
     for _ in range(length):
-        builder.apply(random_move(builder.current, rng, **move_kwargs))
+        builder.apply(random_move(builder.current, rng))
     return builder.chain()
 
 
@@ -603,7 +573,8 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def format_move(move: Move) -> str:
-    """Chain-file line for a move (1-based indices)."""
+    """Move line for a move, the value of a key file's 'move:' field
+    (1-based indices)."""
     if isinstance(move, T1Move):
         return f"t1 {serialize_word(move.s)}"
     if isinstance(move, T2Move):
@@ -644,15 +615,11 @@ def parse_move(line: str, rank: int) -> Move:
     raise ParseError(f"unknown move kind {parts[0]!r}")
 
 
-def format_chain(chain: TietzeChain) -> str:
-    return "\n".join(format_move(move) for move in chain.moves)
-
-
-def replay_moves(start: Presentation, fields, key: str = "move") -> TietzeChain:
-    """Apply the move line of each ``key`` field in turn, from ``start``."""
+def replay_moves(start: Presentation, fields) -> TietzeChain:
+    """Apply the move line of each 'move:' field in turn, from ``start``."""
     builder = ChainBuilder(start)
     for k, line in fields:
-        if k != key:
+        if k != "move":
             raise ParseError(f"expected a move line, got {k!r}: {line!r}")
         try:
             builder.apply(parse_move(line, builder.current.n_gens))
@@ -660,7 +627,3 @@ def replay_moves(start: Presentation, fields, key: str = "move") -> TietzeChain:
             raise ParseError(f"move {line!r} does not apply: {exc}") from None
     return builder.chain()
 
-
-def replay_chain_file(start: Presentation, text: str) -> TietzeChain:
-    """One move line per line; '#' lines are comments."""
-    return replay_moves(start, read_fields(text, comments=True)[0], key="")

@@ -129,12 +129,10 @@ def trick_treat_keygen(r: int, chain_len: int, rng: random.Random) -> TrickTreat
         raise RangeError("need rank >= 2")
     free_seed = Presentation(r, ())
     trivial_seed = presentation(r, [[i] for i in range(1, r + 1)])
-    disguised_free = DisguisedGroup(
-        *_disguise(free_seed, chain_len, rng), kind="free"
-    )
-    disguised_trivial = DisguisedGroup(
-        *_disguise(trivial_seed, chain_len, rng), kind="trivial"
-    )
+    free_chain = random_chain(free_seed, chain_len, rng)
+    disguised_free = DisguisedGroup(free_chain.end, free_chain, kind="free")
+    trivial_chain = random_chain(trivial_seed, chain_len, rng)
+    disguised_trivial = DisguisedGroup(trivial_chain.end, trivial_chain, kind="trivial")
     if rng.random() < 0.5:
         sides = (disguised_trivial, disguised_free)
         trivial_index = 1
@@ -144,11 +142,6 @@ def trick_treat_keygen(r: int, chain_len: int, rng: random.Random) -> TrickTreat
     return TrickTreatKey(
         (sides[0].public, sides[1].public), TrickTreatPrivate(trivial_index, sides)
     )
-
-
-def _disguise(seed: Presentation, chain_len: int, rng: random.Random):
-    chain = random_chain(seed, chain_len, rng)
-    return chain.end, chain
 
 
 def trick_treat_encrypt(
@@ -256,17 +249,3 @@ def run_trick_treat_trials(
             eve_correct += 1
     return TrickTreatStats(trials, eve_correct, legit_correct, case_counts)
 
-
-def decrypt_error_rate(
-    length: int, trials: int, seed: int, r: int = 2, chain_len: int = 6
-) -> float:
-    """Fraction of wrong legitimate decryptions at a given word length."""
-    wrong = 0
-    for trial in range(trials):
-        rng = substream(seed, trial)
-        key = trick_treat_keygen(r, chain_len, rng)
-        bit = rng.randrange(2)
-        ct = trick_treat_encrypt(bit, key.publics, (length, length), rng)
-        if trick_treat_decrypt(ct, key.private) != bit:
-            wrong += 1
-    return wrong / trials

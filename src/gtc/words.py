@@ -47,11 +47,6 @@ class Word:
         return iter(self.letters)
 
 
-def word(letters, rank: int) -> Word:
-    """Build a Word from any iterable of letters."""
-    return Word(tuple(letters), rank)
-
-
 def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Letters of the formal inverse: reversed, each sign flipped."""
     return tuple([-l for l in reversed(letters)])
@@ -59,10 +54,6 @@ def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def empty_word(rank: int) -> Word:
     return Word((), rank)
-
-
-def is_reduced(w: Word) -> bool:
-    return all(a != -b for a, b in zip(w.letters, w.letters[1:]))
 
 
 def free_reduce(w: Word) -> Word:
@@ -76,35 +67,16 @@ def free_reduce(w: Word) -> Word:
     return Word._trusted(tuple(stack), w.rank)
 
 
-def _require_same_rank(a: Word, b: Word) -> None:
-    if a.rank != b.rank:
-        raise RankError(f"rank mismatch: {a.rank} vs {b.rank}")
-
-
 def multiply(a: Word, b: Word) -> Word:
     """Reduced product ab."""
-    _require_same_rank(a, b)
+    if a.rank != b.rank:
+        raise RankError(f"rank mismatch: {a.rank} vs {b.rank}")
     return free_reduce(Word._trusted(a.letters + b.letters, a.rank))
 
 
 def invert(w: Word) -> Word:
     """Reversed, sign-flipped, reduced inverse."""
     return free_reduce(Word._trusted(inverse_letters(w.letters), w.rank))
-
-
-def conjugate(w: Word, x: Word) -> Word:
-    """w^x = x^-1 w x, reduced."""
-    _require_same_rank(w, x)
-    return free_reduce(
-        Word._trusted(inverse_letters(x.letters) + w.letters + x.letters, w.rank)
-    )
-
-
-def commutator(x: Word, y: Word) -> Word:
-    """[x, y] = x^-1 y^-1 x y, reduced."""
-    _require_same_rank(x, y)
-    inv_xy = inverse_letters(y.letters + x.letters)
-    return free_reduce(Word._trusted(inv_xy + x.letters + y.letters, x.rank))
 
 
 def random_word(rank: int, len_range: tuple[int, int], rng: random.Random) -> Word:

@@ -551,6 +551,8 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     instance.write_text("\n".join(["problem: gpcp"] + SOLVE_PINS[2][1]) + "\n")
     simulate = ["simulate", "--protocol", "ko-lee", "--min-len", "3", "--max-len", "3",
                 "--seed", "3", "--out", str(transcript)]
+    tpub, tpriv, tct, hpub, hpriv, hct = (str(tmp_path / name) for name in
+                                          ("tpub", "tpriv", "tct", "hpub", "hpriv", "hct"))
     argvs = [
         ["simulate", "--protocol", "nope"],  # argparse usage error
         ["attack", "--transcript", str(transcript), "--method", "csp", "--bound", "-1"],
@@ -558,6 +560,15 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         ["attack", "--transcript", str(transcript), "--method", "csp", "--bound", "3"],
         ["solve", "gpcp", "--instance", str(instance)],
         simulate,
+        # every command that reads a key file, so its on-demand imports run cold
+        ["wp-encrypt", "keygen", "--seed", "2", "--out-pub", tpub, "--out-priv", tpriv],
+        ["wp-encrypt", "encrypt", "--seed", "3", "--pub", tpub, "--out", tct],
+        ["wp-encrypt", "decrypt", "--priv", tpriv, "--ct", tct],
+        ["wp-encrypt", "attack", "--seed", "4", "--priv", tpriv, "--ct", tct],
+        ["hom", "keygen", "--seed", "2", "--out-pub", hpub, "--out-priv", hpriv],
+        ["hom", "encrypt", "--seed", "3", "--pub", hpub, "--out", hct],
+        ["hom", "decrypt", "--pub", hpub, "--priv", hpriv, "--ct", hct],
+        ["montecarlo", "--trials", "20"],
     ]
     in_process = []
     for argv in argvs:
@@ -567,7 +578,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
             code = exc.code
         out = capsys.readouterr()
         in_process.append((code, out.out, out.err))
-    assert [c for c, _, _ in in_process] == [2, 2, 0, 0, 0, 0]
+    assert [c for c, _, _ in in_process] == [2, 2] + [0] * 12
     for argv, got in zip(argvs, in_process):
         proc = _fresh_gtc(argv)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv

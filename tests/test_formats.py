@@ -6,7 +6,9 @@ given to the CLI exit 0 or exit 2 with 'error: ...', never a traceback.
 """
 
 import random
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from gtc.errors import ParseError
 from gtc.problems import parse_instance
 from gtc.protocols import PROTOCOLS, parse_transcript, serialize_transcript
 from gtc.tietze import (
-    format_chain,
     format_map,
     format_move,
     format_presentation,
@@ -26,7 +27,7 @@ from gtc.tietze import (
     parse_presentation,
     presentation,
     random_chain,
-    replay_chain_file,
+    replay_moves,
 )
 from gtc.words import int_value, one_field, random_word, read_fields
 
@@ -80,14 +81,12 @@ TEXT = st.one_of(st.lists(LINE, max_size=14).map("\n".join), st.text(max_size=60
 
 _HOM = homenc.hom_keygen(homenc.worked_example_presentation(),
                          homenc.worked_example_faithful(), 3, 1, random.Random(5))
-_START = presentation(2, [[1, 2]])
 
 READERS = {
     "presentation": parse_presentation,
     "transcript": parse_transcript,
     "instance": parse_instance,
     "map": lambda text: parse_map(read_fields(text)[0], 3),
-    "chain-file": lambda text: replay_chain_file(_START, text),
     "move": lambda text: parse_move(text, 3),
     "trick-public": cli._parse_trick_public,
     "trick-private": cli._parse_trick_private,
@@ -125,7 +124,7 @@ def test_presentation_chain_move_and_map_roundtrip(seed, n, count):
     p = presentation(n, [random_word(n, (0, 6), rng).letters for _ in range(count)])
     assert parse_presentation(format_presentation(p)) == p
     chain = random_chain(p, 6, rng)
-    assert replay_chain_file(p, format_chain(chain)) == chain
+    assert replay_moves(p, [("move", format_move(m)) for m in chain.moves]) == chain
     current = p
     for move in chain.moves:
         assert parse_move(format_move(move), current.n_gens) == move
@@ -339,8 +338,10 @@ def test_bad_hom_private_key_exits_2(files, capsys, old, new, message):
     _exits_2(_commands(files)["hpriv"], capsys, message)
 
 
+# the last three parse, but do not fit the 4x4 block matrices of the transcript
 @pytest.mark.parametrize("structure", ["blob top 2", "block top 2a", "block middle 2",
-                                       "factor 3"])
+                                       "factor 3", "factor 1", "block top 99",
+                                       "block bottom 2"])
 def test_bad_subgroup_structure_exits_2(files, capsys, structure):
     _edit(files["kolee"], "A-structure: block top 2", f"A-structure: {structure}")
     _exits_2(_commands(files)["kolee"], capsys, "structure")
@@ -391,3 +392,53 @@ def test_keys_the_cli_writes_read_back(tmp_path, capsys, argv):
     else:
         cli._parse_trick_public(pub.read_text())
         cli._parse_trick_private(priv.read_text())
+
+
+@contextmanager
+def _bounded(seconds=1.0, peak_bytes=1_000_000):
+    """Fail the block if it runs past ``seconds`` or its tracemalloc peak
+    reaches ``peak_bytes``."""
+    def expire(*_):  # pytest.fail, because cli.main turns an OSError into exit 2
+        pytest.fail(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert peak < peak_bytes
+
+
+DH_RECORDS = "1 Alice g^a 5\n2 Bob g^b 7\n"
+
+
+# short files whose platform header named work or memory far beyond their size
+@pytest.mark.parametrize("text,argv", [
+    # trial division of a 60-bit modulus ran for minutes
+    (f"# protocol: dh\n# platform: cyclic 1000000000000000003 2\n{DH_RECORDS}",
+     ["attack", "--method", "dlog", "--bound", "5", "--transcript"]),
+    # the dlog attack built all n(n-1)+1 generators of GL(80): a 402 MB peak
+    (f"# protocol: dh\n# platform: matrix 80 5\n{DH_RECORDS}",
+     ["attack", "--method", "dlog", "--bound", "1", "--transcript"]),
+    # the element check sorted against range(1, 10^6 + 1): a 40 MB peak
+    ("problem: kp\nplatform: perm 1000000\nelem: 1 2\n",
+     ["solve", "kp", "--instance"]),
+    # a trailing field was dropped: 'free 3 9' read as 'free 3'
+    ("problem: kp\nplatform: free 3 9\nelem: 1\ntarget: 1\nbound: 1\n",
+     ["solve", "kp", "--instance"]),
+    # a dlog search over the first generator of GL(2, 5) ran and exited 0
+    ("# protocol: dh\n# platform: matrix 2 5\n1 Alice g^a 1 1 0 1\n"
+     "2 Bob g^b 1 0 0 1\n", ["attack", "--method", "dlog", "--bound", "5", "--transcript"]),
+], ids=["cyclic-modulus", "matrix-dlog", "perm-degree", "trailing-field", "matrix-records"])
+def test_platform_headers_are_checked_before_use(tmp_path, capsys, text, argv):
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    run(argv + [tmp_path / "missing"], capsys)  # build the parser, import the layers
+    with _bounded():
+        code, _, err = run(argv + [path], capsys)
+    assert code == 2 and err.startswith("error: "), err

@@ -11,7 +11,6 @@ from gtc.homenc import (
     hom_decrypt,
     hom_encrypt,
     hom_keygen,
-    identity_keypair,
     randomize_word,
     scripted_encrypt,
     unreached_generators,
@@ -59,6 +58,8 @@ def test_keygen_zero_chain_is_identity():
     assert kp.public.phi == identity_map(3)
     assert kp.public.H_hat == worked_example_presentation()
     assert kp.private.chain.moves == ()
+    w = Word((1, 2, 1), 3)
+    assert hom_encrypt(kp.public, w, 0, random.Random(0)) == free_reduce(w)
 
 
 def test_keygen_replay_deterministic():
@@ -197,12 +198,6 @@ def test_unreached_generators_diagnostic():
 
     pk = HomomorphicPublicKey(chain.phi, chain.start, thin, worked_example_faithful())
     assert 4 in unreached_generators(pk)
-
-
-def test_identity_keypair_helper():
-    kp = identity_keypair(a5_presentation(), a5_faithful())
-    w = Word((1, 2, 1), 2)
-    assert hom_encrypt(kp.public, w, 0, random.Random(0)) == free_reduce(w)
 
 
 def test_faithful_evaluation_helper():

@@ -459,7 +459,7 @@ def test_transcript_roundtrip_and_payload_integrity():
 def test_transcript_never_carries_private_expressions():
     platform, w, A, B = block_setup()
     out = decomposition_exchange(platform, w, A, B, random.Random(3))
-    payloads = out.transcript.payloads()
+    payloads = [r.payload for r in out.transcript.records]
     for secret in out.private_state.values():
         assert platform.serialize_element(secret.value) not in payloads
 

@@ -10,7 +10,6 @@ from gtc.wordenc import (
     BitCiphertext,
     algorithm0,
     algorithm1,
-    decrypt_error_rate,
     eve_emulation_attack,
     oracle_from_private,
     run_trick_treat_trials,
@@ -167,8 +166,3 @@ def test_legitimate_error_rate_decreases_with_length():
         errors[length] = wrong / trials
     assert errors[8] > errors[16] > errors[32]
     assert errors[16] < 0.01
-
-
-def test_decrypt_error_rate_helper():
-    rate = decrypt_error_rate(16, 500, seed=55)
-    assert 0.0 <= rate < 0.02
