@@ -200,6 +200,12 @@ def test_unreached_generators_diagnostic():
     assert 4 in unreached_generators(pk)
 
 
+def test_identity_keypair_helper():
+    kp = hom_keygen(a5_presentation(), a5_faithful(), 0, 0, random.Random(0))
+    w = Word((1, 2, 1), 2)
+    assert hom_encrypt(kp.public, w, 0, random.Random(0)) == free_reduce(w)
+
+
 def test_faithful_evaluation_helper():
     kp = worked_example_keypair()
     gens = SubgroupGens(kp.public.faithful[0].platform, kp.public.faithful)
