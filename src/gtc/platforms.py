@@ -7,8 +7,8 @@ always canonical: reduced words, residues in [1, p-1], bijective image
 tuples, matrices with entries reduced mod p, or pairs of reduced words
 for the direct product of two free groups.
 
-All arithmetic is exact integer arithmetic; matrices over Z_p use
-hand-rolled Gaussian elimination (sizes are tiny).
+All arithmetic is exact integer arithmetic; matrices over Z_p use the
+kernels of gtc.linalg.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 from typing import Callable, Optional
 
 from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
+from .linalg import is_invertible, mat_identity, mat_inv, mat_mul, nullspace_mod_p
 from .words import Word, empty_word, free_reduce, parse_word, random_reduced_word, serialize_word
 
 
@@ -27,68 +27,7 @@ from .words import Word, empty_word, free_reduce, parse_word, random_reduced_wor
 SAMPLE_TRIES = 100
 
 # ---------------------------------------------------------------------------
-# exact linear algebra mod p
-
-def mat_identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
-    bt = list(zip(*b))
-    return tuple([tuple([sum(map(mul, ra, cb)) % p for cb in bt]) for ra in a])
-
-
-def mat_inv(m: tuple, p: int) -> Optional[tuple]:
-    """Inverse via Gauss-Jordan; None if singular."""
-    n = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def nullspace_mod_p(rows: list, p: int) -> list:
-    """Basis of the right nullspace of a matrix over Z_p."""
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] % p != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(v * inv) % p for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-m[r][fc]) % p
-        basis.append(tuple(vec))
-    return basis
-
+# moduli
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -238,7 +177,7 @@ class CyclicModP(Platform):
         if not 1 <= self.g <= self.p - 1:
             raise SetupError(f"generator {self.g} not a residue mod {self.p}")
 
-    @property
+    @cached_property
     def order_of_g(self) -> int:
         order = self.p - 1
         for q in _prime_factors(self.p - 1):
@@ -350,7 +289,7 @@ class MatrixModP(Platform):
         m = tuple(tuple(v % self.p for v in row) for row in rows)
         if len(m) != self.n or any(len(r) != self.n for r in m):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        if mat_inv(m, self.p) is None:
+        if not is_invertible(m, self.p):
             raise ValueError("matrix is not invertible mod p")
         return Element(self, m)
 
@@ -405,7 +344,7 @@ class MatrixModP(Platform):
             rows = tuple(
                 tuple(rng.randrange(self.p) for _ in range(self.n)) for _ in range(self.n)
             )
-            if mat_inv(rows, self.p) is not None:
+            if is_invertible(rows, self.p):
                 return Element(self, rows)
         raise SamplingError("no invertible matrix found within retry budget")
 
@@ -757,7 +696,7 @@ def matrix_centralizer_sample(g: Element, k: int, rng: random.Random) -> Subgrou
                 if c:
                     vec = [(v + c * bv) % p for v, bv in zip(vec, b)]
             mat = tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(n))
-            if mat_inv(mat, p) is not None:
+            if is_invertible(mat, p):
                 samples.append(Element(platform, mat))
                 break
         else:

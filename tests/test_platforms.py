@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtc import linalg, platforms
 from gtc.errors import ParseError, RankError, SetupError
+from gtc.linalg import is_invertible, mat_identity, mat_inv, mat_mul
 from gtc.platforms import (
     CyclicModP,
     DirectFreePlatform,
@@ -17,9 +19,6 @@ from gtc.platforms import (
     cyclic_subgroup,
     direct_factor_subgroups,
     eval_word,
-    mat_identity,
-    mat_inv,
-    mat_mul,
     matrix_centralizer_sample,
     platform_from_spec,
     pow_with_count,
@@ -208,6 +207,10 @@ def test_matrix_element_validation():
         pf.element(((1, 2), (2, 4)))  # singular
     e = pf.element(((6, 0), (0, 1)))  # entries reduced mod 5
     assert e.payload == ((1, 0), (0, 1))
+    # the determinant test guards the text boundary of the kernel sizes too
+    for n, text in ((3, "1 2 3 2 4 6 0 0 1"), (4, "1 0 0 0 0 1 0 0 0 0 1 0 5 0 0 0")):
+        with pytest.raises(ParseError):
+            MatrixModP(n, 5).parse_element(text)
 
 
 def test_permutation_composition_order():
@@ -224,6 +227,19 @@ def test_cyclic_order_recorded():
     assert cp.order_of_g == 22
     assert CyclicModP(23, 1).order_of_g == 1
     assert CyclicModP(23, 22).order_of_g == 2
+
+
+def test_order_of_g_factors_once_per_platform(monkeypatch):
+    calls = []
+    factor = platforms._prime_factors
+    monkeypatch.setattr(platforms, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    cp = CyclicModP(23, 5)
+    assert [cp.order_of_g for _ in range(3)] == [22, 22, 22]
+    assert calls == [22]
+    # the cached value is not a field: equality and hashing see only p and g
+    fresh = CyclicModP(23, 5)
+    assert cp == fresh and hash(cp) == hash(fresh) and len({cp, fresh}) == 1
+    assert cp != CyclicModP(23, 7) and cp != CyclicModP(29, 5)
 
 
 def test_non_prime_modulus_is_a_setup_error():
@@ -264,12 +280,25 @@ def leibniz_det(m, p):
     return total % p
 
 
+def gauss_jordan_inverse(m, p):
+    """The generic elimination, run on sizes that mat_inv sends to a kernel."""
+    n = len(m)
+    aug = [list(row) + list(e) for row, e in zip(m, mat_identity(n))]
+    reduced, pivots = linalg._row_reduce(aug, p)
+    return tuple(tuple(row[n:]) for row in reduced) if pivots == list(range(n)) else None
+
+
+# 2^31 - 1 is the largest modulus the platforms accept
+PRIMES = (2, 5, 7, 1009, 2147483647)
+
+
 @st.composite
-def matrices_mod_p(draw, count):
-    """``count`` n x n matrices over Z_p; a repeated row sometimes forces
-    singularity, so both mat_inv outcomes occur for every p."""
-    n = draw(st.integers(1, 5))
-    p = draw(st.sampled_from((2, 5, 7, 1009)))
+def matrices_mod_p(draw, count, sizes=(1, 5), primes=PRIMES):
+    """``count`` n x n matrices over Z_p for n in ``sizes`` (inclusive) and p
+    in ``primes``; a repeated row sometimes forces singularity, so both
+    mat_inv outcomes occur for every p."""
+    n = draw(st.integers(*sizes))
+    p = draw(st.sampled_from(primes))
     row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     mats = []
     for _ in range(count):
@@ -292,9 +321,22 @@ def test_mat_mul_matches_triple_loop(case):
 def test_mat_inv_is_an_inverse_exactly_when_nonsingular(case):
     p, (m,) = case
     inv = mat_inv(m, p)
+    assert is_invertible(m, p) == (inv is not None)
     if leibniz_det(m, p) == 0:
         assert inv is None
     else:
         eye = mat_identity(len(m))
         assert mat_mul(m, inv, p) == eye
         assert mat_mul(inv, m, p) == eye
+
+
+@pytest.mark.parametrize("primes", [PRIMES, (2,), (2147483647,)], ids=["all", "p=2", "p=2^31-1"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernels_match_the_generic_code(primes, data):
+    """n = 3 and 4 run straight-line kernels; each must agree exactly with
+    the triple loop, the generic elimination and the Leibniz determinant."""
+    p, (a, b) = data.draw(matrices_mod_p(2, sizes=(3, 4), primes=primes))
+    assert mat_mul(a, b, p) == naive_mat_mul(a, b, p)
+    assert mat_inv(a, p) == gauss_jordan_inverse(a, p)
+    assert is_invertible(a, p) == (leibniz_det(a, p) != 0)
