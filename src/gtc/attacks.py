@@ -152,9 +152,9 @@ def uniqueness_check(
 # length-based attack
 
 def _element_length(e: Element) -> int:
-    if e.tag == "free":
+    if e.platform.kind == "free":
         return len(e.payload.letters)
-    if e.tag == "direct":
+    if e.platform.kind == "direct":
         return len(e.payload[0].letters) + len(e.payload[1].letters)
     raise AttackFailed("platform has no length function")
 

@@ -1,9 +1,8 @@
 """Concrete platform groups with exact normal forms.
 
-Every platform exposes the same small contract: identity, multiply,
-invert, element (validated construction), eval of a Word over a list of
-generator Elements, and bit-exact text serialization.  Payloads are
-always canonical: reduced words, residues in [1, p-1], bijective image
+Every kind implements the contract in the Platform docstring, and
+eval_word evaluates a Word over a list of generator Elements.  Payloads
+are always canonical: reduced words, residues in [1, p-1], bijective image
 tuples, matrices with entries reduced mod p, or pairs of reduced words
 for the direct product of two free groups.
 
@@ -14,13 +13,14 @@ kernels of gtc.linalg.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
 from .linalg import is_invertible, mat_identity, mat_inv, mat_mul, nullspace_mod_p
-from .words import Word, empty_word, free_reduce, parse_word, random_reduced_word, serialize_word
+from .words import (Word, empty_word, free_reduce, invert, multiply, parse_word,
+                    random_reduced_word, serialize_word)
 
 
 # tries of each rejection sampler for an invertible matrix before SamplingError
@@ -77,36 +77,18 @@ class Element:
     platform: "Platform"
     payload: object
 
-    @property
-    def tag(self) -> str:
-        return self.platform.kind
-
 
 class Platform:
-    """Uniform group contract shared by all platform kinds."""
+    """Uniform group contract shared by all platform kinds.
+
+    Each kind is a frozen dataclass whose ``init`` fields are its integer
+    parameters, and implements identity(), multiply(a, b), invert(a),
+    generators(), element(...) (validated construction), random_element(rng),
+    serialize_element(e) and parse_element(text), the inverse of
+    serialize_element that raises ParseError.
+    """
 
     kind: str = "abstract"
-
-    def identity(self) -> Element:
-        raise NotImplementedError
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def invert(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    def generators(self) -> list[Element]:
-        raise NotImplementedError
-
-    def serialize_element(self, e: Element) -> str:
-        raise NotImplementedError
-
-    def parse_element(self, text: str) -> Element:
-        raise NotImplementedError
-
-    def random_element(self, rng: random.Random) -> Element:
-        raise NotImplementedError
 
     def conjugate(self, w: Element, x: Element) -> Element:
         """w^x = x^-1 w x."""
@@ -119,8 +101,10 @@ class Platform:
         )
 
     def spec(self) -> str:
-        """One-line parameter form used in file headers."""
-        raise NotImplementedError
+        """One-line parameter form used in file headers: the kind, then the
+        constructor parameters in order."""
+        params = [str(getattr(self, f.name)) for f in fields(self) if f.init]
+        return " ".join([self.kind] + params)
 
 
 @dataclass(frozen=True)
@@ -139,14 +123,10 @@ class FreePlatform(Platform):
         return Element(self, empty_word(self.rank))
 
     def multiply(self, a: Element, b: Element) -> Element:
-        from .words import multiply as wmul
-
-        return Element(self, wmul(a.payload, b.payload))
+        return Element(self, multiply(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
-        from .words import invert as winv
-
-        return Element(self, winv(a.payload))
+        return Element(self, invert(a.payload))
 
     def generators(self) -> list[Element]:
         return [Element(self, Word((i,), self.rank)) for i in range(1, self.rank + 1)]
@@ -159,9 +139,6 @@ class FreePlatform(Platform):
 
     def random_element(self, rng: random.Random) -> Element:
         return Element(self, random_reduced_word(self.rank, (1, 8), rng))
-
-    def spec(self) -> str:
-        return f"free {self.rank}"
 
 
 @dataclass(frozen=True)
@@ -198,7 +175,7 @@ class CyclicModP(Platform):
         return Element(self, (a.payload * b.payload) % self.p)
 
     def invert(self, a: Element) -> Element:
-        return Element(self, pow(a.payload, self.p - 2, self.p))
+        return Element(self, pow(a.payload, -1, self.p))
 
     def generators(self) -> list[Element]:
         return [Element(self, self.g)]
@@ -214,9 +191,6 @@ class CyclicModP(Platform):
 
     def random_element(self, rng: random.Random) -> Element:
         return Element(self, pow(self.g, rng.randrange(self.order_of_g), self.p))
-
-    def spec(self) -> str:
-        return f"cyclic {self.p} {self.g}"
 
 
 @dataclass(frozen=True)
@@ -267,9 +241,6 @@ class PermutationPlatform(Platform):
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
         return Element(self, tuple(images))
-
-    def spec(self) -> str:
-        return f"perm {self.degree}"
 
 
 @dataclass(frozen=True)
@@ -348,9 +319,6 @@ class MatrixModP(Platform):
                 return Element(self, rows)
         raise SamplingError("no invertible matrix found within retry budget")
 
-    def spec(self) -> str:
-        return f"matrix {self.n} {self.p}"
-
 
 @dataclass(frozen=True)
 class DirectFreePlatform(Platform):
@@ -374,16 +342,12 @@ class DirectFreePlatform(Platform):
         return Element(self, (empty_word(self.rank1), empty_word(self.rank2)))
 
     def multiply(self, a: Element, b: Element) -> Element:
-        from .words import multiply as wmul
-
         return Element(
-            self, (wmul(a.payload[0], b.payload[0]), wmul(a.payload[1], b.payload[1]))
+            self, (multiply(a.payload[0], b.payload[0]), multiply(a.payload[1], b.payload[1]))
         )
 
     def invert(self, a: Element) -> Element:
-        from .words import invert as winv
-
-        return Element(self, (winv(a.payload[0]), winv(a.payload[1])))
+        return Element(self, (invert(a.payload[0]), invert(a.payload[1])))
 
     def generators(self) -> list[Element]:
         out = []
@@ -413,14 +377,9 @@ class DirectFreePlatform(Platform):
             ),
         )
 
-    def spec(self) -> str:
-        return f"direct {self.rank1} {self.rank2}"
 
-
-# each spec kind with its class and number of integer parameters
-_PLATFORM_KINDS = {"free": (FreePlatform, 1), "cyclic": (CyclicModP, 2),
-                   "perm": (PermutationPlatform, 1), "matrix": (MatrixModP, 2),
-                   "direct": (DirectFreePlatform, 2)}
+_PLATFORM_KINDS = {cls.kind: cls for cls in (FreePlatform, CyclicModP, PermutationPlatform,
+                                              MatrixModP, DirectFreePlatform)}
 
 
 def platform_from_spec(text: str) -> Platform:
@@ -428,7 +387,8 @@ def platform_from_spec(text: str) -> Platform:
     kind, *params = text.split() or [""]
     if kind not in _PLATFORM_KINDS:
         raise ParseError(f"unknown platform kind {kind!r}")
-    cls, arity = _PLATFORM_KINDS[kind]
+    cls = _PLATFORM_KINDS[kind]
+    arity = sum(f.init for f in fields(cls))
     if len(params) != arity:
         raise ParseError(f"bad platform spec {text!r}: {kind} takes {arity} parameter(s)")
     try:

@@ -177,7 +177,7 @@ def twisted_conjugacy_bounded(
     len_bound: int,
 ) -> Optional[Word]:
     """Bounded search for w with u phi(w) = psi(w) v on a free platform."""
-    if u.tag != "free" or v.platform != u.platform:
+    if u.platform.kind != "free" or v.platform != u.platform:
         raise RankError("twisted conjugacy search runs on one free platform")
     rank = u.platform.rank
     if phi.from_gens != rank or psi.from_gens != rank:
@@ -243,6 +243,12 @@ class ProblemInstance:
     source: Optional[Word] = None
 
 
+# the keys an instance file may repeat, and those it may give at most once
+_LIST_KEYS = ("elem", "u", "v")
+_ONCE_KEYS = ("problem", "platform", "rank", "bound", "target", "source", "a", "b",
+              "phi", "psi", "agens", "bgens")
+
+
 def _parse_map(text: str, rank: int) -> GenMap:
     images = tuple(parse_word(part, rank) for part in text.split(";"))
     return GenMap(len(images), rank, images)
@@ -250,11 +256,16 @@ def _parse_map(text: str, rank: int) -> GenMap:
 
 def parse_instance(text: str) -> ProblemInstance:
     """Problem instance file: 'key: value' lines, '#' comments; see the
-    README for the per-problem keys."""
+    README for the per-problem keys.  An unknown key, or a second line of
+    a key outside _LIST_KEYS, is a ParseError."""
     [fields] = read_fields(text, comments=True)
     for key, value in fields:
         if not key:
             raise ParseError(f"bad instance line {value!r}")
+        if key not in _LIST_KEYS + _ONCE_KEYS:
+            raise ParseError(f"unknown instance key {key!r}")
+    for key in _ONCE_KEYS:
+        one_field(fields, key, optional=True)
     inst = ProblemInstance(problem=one_field(fields, "problem"))
     spec = one_field(fields, "platform", optional=True)
     if spec is not None:

@@ -105,16 +105,13 @@ def random_substitution(
     if len(r) < 2:
         return None
     occurrences = []
-    for inverted in (False, True):
-        letters = r.letters if not inverted else inverse_letters(r.letters)
+    for letters in (r.letters, inverse_letters(r.letters)):
         for split in range(1, len(letters)):
-            u, v = letters[:split], letters[split:]
-            repl = inverse_letters(v)
-            for pos in range(len(w) - len(u) + 1):
-                if w.letters[pos: pos + len(u)] == u:
-                    occurrences.append(
-                        Substitute(pos, len(u), Word(repl, w.rank), rel_idx)
-                    )
+            u = letters[:split]
+            for pos in range(len(w) - split + 1):
+                if w.letters[pos: pos + split] == u:
+                    occurrences.append((pos, split, letters))
     if not occurrences:
         return None
-    return occurrences[rng.randrange(len(occurrences))]
+    pos, split, letters = occurrences[rng.randrange(len(occurrences))]
+    return Substitute(pos, split, Word(inverse_letters(letters[split:]), w.rank), rel_idx)

@@ -42,18 +42,15 @@ def algorithm1(
     if lo < 0 or hi < lo:
         raise RangeError(f"empty length range [{lo}, {hi}]")
     n = pres.n_gens
-    # insertion sizes: h h^-1 pairs add 2..6, a conjugated relator |r| + 2c
-    sizes = {2 * k for k in (1, 2, 3)}
-    for r in pres.relators:
-        for c in (0, 1, 2):
-            if len(r) + 2 * c > 0:
-                sizes.add(len(r) + 2 * c)
-    reachable = [False] * (hi + 1)
-    reachable[0] = True
+    # each move with the letters it inserts: h h^-1 pairs 2..6, a conjugated
+    # relator |r| + 2c
+    moves = [(("pair", k), 2 * k) for k in (1, 2, 3)] + [
+        (("relator", i, c), len(r) + 2 * c)
+        for i, r in enumerate(pres.relators) for c in (0, 1, 2) if len(r) + 2 * c > 0
+    ]
+    reachable = [True] + [False] * hi
     for total in range(1, hi + 1):
-        reachable[total] = any(
-            s <= total and reachable[total - s] for s in sizes
-        )
+        reachable[total] = any(s <= total and reachable[total - s] for _, s in moves)
     targets = [t for t in range(lo, hi + 1) if reachable[t]]
     if not targets:
         raise LengthError(f"no insertion combination reaches [{lo}, {hi}]")
@@ -61,15 +58,7 @@ def algorithm1(
     w = empty_word(n)
     while len(w) < target:
         gap = target - len(w)
-        options = []
-        for k in (1, 2, 3):
-            if 2 * k <= gap and reachable[gap - 2 * k]:
-                options.append(("pair", k))
-        for i, r in enumerate(pres.relators):
-            for c in (0, 1, 2):
-                size = len(r) + 2 * c
-                if 0 < size <= gap and reachable[gap - size]:
-                    options.append(("relator", i, c))
+        options = [move for move, s in moves if s <= gap and reachable[gap - s]]
         choice = options[rng.randrange(len(options))]
         pos = rng.randint(0, len(w))
         if choice[0] == "pair":

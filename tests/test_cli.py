@@ -426,6 +426,11 @@ MATRIX_INSTANCE = ["platform: matrix 3 5", f"elem: {IDENTITY3}", f"target: {IDEN
      "'elem:' needs a 'platform:' line"),
     ("smp", ["platform: matrix 3 5", "elem: 1 0 0 0 x 0 0 0 1", f"target: {IDENTITY3}",
              "bound: 2"], "invalid literal"),
+    ("kp", MATRIX_INSTANCE + ["element: 3", "bound: 2"], "unknown instance key 'element'"),
+    ("kp", MATRIX_INSTANCE + [f"target: {IDENTITY3}", "bound: 2"],
+     "expected one 'target:' line, found 2"),
+    ("twisted", ["rank: 2", "source: 1", "target: 1", "target: 2", "phi: 1;2", "psi: 1;2",
+                 "bound: 2"], "expected one 'target:' line, found 2"),
 ])
 def test_malformed_solve_instance_exits_2(tmp_path, capsys, problem, lines, message):
     code, out, err = _solve(tmp_path, capsys, problem, lines)

@@ -125,7 +125,9 @@ def test_element_serialization_roundtrip(platform):
 
 
 def test_platform_spec_roundtrip():
-    for pf in all_platforms():
+    specs = ["free 3", "cyclic 23 5", "perm 5", "matrix 3 7", "direct 2 2"]
+    for pf, spec in zip(all_platforms(), specs, strict=True):
+        assert pf.spec() == spec
         assert platform_from_spec(pf.spec()) == pf
 
 

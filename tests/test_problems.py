@@ -440,6 +440,23 @@ def test_parse_instance_errors():
         parse_instance("platform: free 2\n")
     with pytest.raises(ParseError):
         parse_instance("problem: ssp\nbad line\n")
+    with pytest.raises(ParseError, match="unknown instance key 'element'"):
+        parse_instance("problem: ssp\nplatform: free 1\nelem: 1\nelement: 3\n")
+    with pytest.raises(ParseError, match="unknown instance key"):
+        parse_instance("problem: ssp\n[section]\n")
+    twisted = "problem: twisted\nrank: 2\nsource: 1\ntarget: 1\nphi: 1;2\npsi: 1;2\n"
+    for line in ("source: 2", "target: 2", "phi: 2;1", "psi: 2;1"):
+        with pytest.raises(ParseError, match="expected one"):
+            parse_instance(twisted + line + "\n")
+    gpcp = "problem: gpcp\nrank: 2\nu: 1\nu: 2\nv: 2\nv: 1\na: 1\nb: 2\n"
+    assert len(parse_instance(gpcp).u) == 2
+    for line in ("a: 2", "b: 1", "rank: 2", "bound: 1\nbound: 2"):
+        with pytest.raises(ParseError, match="expected one"):
+            parse_instance(gpcp + line + "\n")
+    factor = "problem: factor\nplatform: direct 1 1\nagens: 1|e\nbgens: e|1\ntarget: 1|1\n"
+    for line in ("agens: e|1", "bgens: 1|e", "target: 1|e", "platform: free 1"):
+        with pytest.raises(ParseError, match="expected one"):
+            parse_instance(factor + line + "\n")
 
 
 # --- witness re-checks -----------------------------------------------------------
