@@ -68,11 +68,14 @@ def brute_force_csp(
 ) -> CspResult:
     """Breadth-first over reduced expressions x (length, then letter order)
     until u^x = v.  Complete up to the bound: any planted expression of
-    length <= max_len is found (possibly as a shorter equivalent)."""
+    length <= max_len is found (possibly as a shorter equivalent).  A
+    conjugate seen before is skipped, so candidates are distinct conjugates,
+    and a miss that ends before the bound has exhausted the orbit of u."""
     platform = gens.platform
     multiply, table = platform.multiply, gens.letter_table
     conjugates = bfs_words(u, signed_letters(len(gens)),
-                           lambda x, l: multiply(multiply(table[-l], x), table[l]), max_len)
+                           lambda x, l: multiply(multiply(table[-l], x), table[l]), max_len,
+                           key=lambda x: x.payload)
     candidates = 0
     for candidates, (expr, value) in enumerate(conjugates, start=1):
         if value == v:

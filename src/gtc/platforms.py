@@ -481,7 +481,9 @@ class SubgroupExpr:
 # ---------------------------------------------------------------------------
 # bounded search
 
-ENUM_GUARD = 1 << 24
+# every state counted may still be held; at 600-1,000 B each (tracemalloc on a
+# 4x4 block csp search and a free-group correspondence search) this is ~1 GB
+ENUM_GUARD = 1 << 20
 
 
 def signed_letters(k: int) -> list[int]:
@@ -497,14 +499,16 @@ def bfs_words(start, letters, step: Callable, bound: int, key: Optional[Callable
     follows its inverse.  Each node is yielded as it is created, so a
     caller that stops at a hit expands nothing more.  With ``key``, a
     state whose key was seen before is neither yielded nor expanded, so
-    each key keeps its first word.  Raises BoundError past ENUM_GUARD
-    states.
+    each key keeps its first word, and the search ends when a length adds
+    no state.  Raises BoundError past ENUM_GUARD states.
     """
     seen = None if key is None else {key(start)}
     count = 1
     yield (), start
     frontier = [((), start)]
     for _ in range(bound):
+        if not frontier:
+            break
         created = []
         for word, state in frontier:
             undo = -word[-1] if word else 0

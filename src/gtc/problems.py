@@ -1,7 +1,7 @@
 """Brute-force and bounded deciders for the algorithmic problems.
 
 Everything here is explicitly bounded or exhaustive at small sizes; the
-guard caps enumeration at 2^24 states.  Every returned witness is
+guard caps enumeration at 2^20 states.  Every returned witness is
 re-evaluated against the target before it leaves the function.
 """
 

@@ -414,6 +414,25 @@ def _bounded(seconds=1.0, peak_bytes=1_000_000):
     assert peak < peak_bytes
 
 
+# Ko-Lee over 4x4 matrices mod 5 with Alice's message replaced by the identity:
+# no conjugator exists, and the orbit of w under <A> has 480 elements
+@pytest.mark.parametrize("bound", [[], ["--bound", "1000000000"]], ids=["default", "1e9"])
+def test_csp_search_ends_when_the_orbit_closes(tmp_path, capsys, bound):
+    transcript = tmp_path / "ko-lee.txt"
+    assert run(["simulate", "--protocol", "ko-lee", "--seed", 28, "--out", transcript],
+               capsys)[0] == 0
+    lines = transcript.read_text().splitlines(keepends=True)
+    alice = next(i for i, line in enumerate(lines) if line.startswith("1 Alice w^a "))
+    lines[alice] = "1 Alice w^a 1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\n"
+    transcript.write_text("".join(lines))
+    with _bounded(seconds=5.0):
+        code, out, _ = run(["attack", "--transcript", transcript, "--method", "csp"] + bound,
+                           capsys)
+    assert code == 0
+    assert "success: false\n" in out
+    assert "work-candidates: 480\n" in out
+
+
 DH_RECORDS = "1 Alice g^a 5\n2 Bob g^b 7\n"
 
 

@@ -1,6 +1,7 @@
 """The bounded-search kernel against a direct enumeration of words."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,7 +12,12 @@ from gtc import platforms
 from gtc.attacks import brute_force_csp, enumerate_subgroup_values
 from gtc.cli import main
 from gtc.errors import BoundError
-from gtc.platforms import bfs_words, block_commuting_subgroups, signed_letters
+from gtc.platforms import bfs_words, block_commuting_subgroups, eval_word, signed_letters
+from gtc.words import Word
+
+# tracemalloc peak per state of a 4x4 block csp search that runs into the
+# guard: 665-705 B on 2x2 blocks over Z_17 and Z_19
+BYTES_PER_STATE = 700
 
 
 def ordered_words(letters, bound):
@@ -102,3 +108,59 @@ def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: enumeration exceeds the guard")
+
+
+def first_hit_scan(u, v, gens, bound):
+    """The first conjugate equal to v in the full BFS (no key), and the
+    number of distinct conjugates up to and including it."""
+    multiply, table = gens.platform.multiply, gens.letter_table
+    distinct = set()
+    for expr, value in bfs_words(u, signed_letters(len(gens)),
+                                 lambda x, l: multiply(multiply(table[-l], x), table[l]), bound):
+        distinct.add(value.payload)
+        if value == v:
+            return expr, len(distinct)
+    return None, len(distinct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+    modulus=st.sampled_from([3, 5]),
+    bound=st.integers(0, 4),
+    planted=st.booleans(),
+    data=st.data(),
+)
+def test_deduplicated_csp_returns_the_first_witness(seed, count, modulus, bound, planted, data):
+    A, _ = block_commuting_subgroups(4, modulus, count, 1, random.Random(seed))
+    platform = A.platform
+    u = platform.random_element(random.Random(seed + 1))
+    if planted:
+        x = data.draw(st.lists(st.sampled_from(signed_letters(count)), max_size=bound))
+        v = platform.conjugate(u, eval_word(A, Word(tuple(x), count)))
+    else:
+        v = platform.random_element(random.Random(seed + 2))
+    expr, candidates = first_hit_scan(u, v, A, bound)
+    result = brute_force_csp(u, v, A, bound)
+    assert (None if result.expr is None else result.expr.letters) == expr
+    assert result.candidates == candidates
+    if planted:
+        assert expr is not None
+
+
+def test_the_guard_bounds_what_a_search_holds(monkeypatch):
+    assert platforms.ENUM_GUARD * BYTES_PER_STATE <= 1 << 30
+    guard = 5000
+    monkeypatch.setattr(platforms, "ENUM_GUARD", guard)
+    # 2x2 blocks over Z_17: u has tens of thousands of distinct conjugates
+    A, _ = block_commuting_subgroups(4, 17, 2, 2, random.Random(5))
+    u = A.platform.random_element(random.Random(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundError):
+            brute_force_csp(u, A.platform.identity(), A, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= guard * BYTES_PER_STATE * 2
