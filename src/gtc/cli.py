@@ -73,6 +73,9 @@ _PROTOCOL_PLATFORMS = {
 # the keys of attacks.ATTACK_DRIVERS, sorted: the --method choices
 _ATTACK_METHODS = ("commutator-probe", "csp", "decomp-factor", "dlog", "length-based", "normal")
 
+# the keys of problems.PROBLEM_KEYS: the solve choices
+_SOLVE_PROBLEMS = ("ssp", "kp", "smp", "gpcp", "twisted", "factor")
+
 
 def _build_session(args, seed: int):
     from . import protocols
@@ -436,65 +439,13 @@ def cmd_hom(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-# the instance fields each problem reads, besides 'bound'
-_SOLVE_FIELDS = {
-    "ssp": ("platform", "target"),
-    "kp": ("platform", "target"),
-    "smp": ("platform", "target"),
-    "gpcp": ("a", "b"),
-    "twisted": ("rank", "source", "target_word", "phi", "psi"),
-    "factor": ("platform", "agens", "bgens", "target"),
-}
-
-
 def cmd_solve(args) -> int:
     from . import problems
-    from .platforms import FreePlatform
 
     inst = problems.parse_instance(_read(args.instance, "--instance"))
     if inst.problem != args.problem:
         raise ParseError(f"instance is a {inst.problem} problem, not {args.problem}")
-    for name in _SOLVE_FIELDS[args.problem]:
-        if getattr(inst, name) is None:
-            line = "target" if name == "target_word" else name
-            raise ParseError(f"{args.problem} instance has no '{line}:' line")
-    bound = _given(args.bound, inst.bound)
-    if bound is None and args.problem != "ssp":
-        raise ParseError(f"{args.problem} instance has no 'bound:' line and no --bound")
-    if args.problem == "ssp":
-        witness = problems.ssp_decide(inst.platform, inst.elements, inst.target)
-        print("witness: " + (",".join(map(str, witness)) if witness is not None else "absent"))
-    elif args.problem == "kp":
-        witness = problems.kp_decide_bounded(inst.platform, inst.elements, inst.target, bound)
-        print("witness: " + (",".join(map(str, witness)) if witness is not None else "absent"))
-    elif args.problem == "smp":
-        witness = problems.smp_decide_bounded(inst.platform, inst.elements, inst.target, bound)
-        if witness is None:
-            print("witness: absent")
-        else:
-            print("witness: " + (",".join(str(i + 1) for i in witness) if witness else "e"))
-    elif args.problem == "gpcp":
-        term = problems.gpcp_bounded_search(inst.u, inst.v, inst.a, inst.b, bound)
-        print("term: " + (serialize_word(term) if term is not None else "absent"))
-    elif args.problem == "twisted":
-        platform = FreePlatform(inst.rank)
-        w = problems.twisted_conjugacy_bounded(
-            platform.element(inst.source),
-            platform.element(inst.target_word),
-            inst.phi,
-            inst.psi,
-            bound,
-        )
-        print("witness: " + (serialize_word(w) if w is not None else "absent"))
-    else:  # factor
-        result = problems.factorization_decide_bounded(
-            inst.target, inst.agens, inst.bgens, bound
-        )
-        if result is None:
-            print("witness: absent")
-        else:
-            print(f"a-expr: {serialize_word(result[0])}")
-            print(f"b-expr: {serialize_word(result[1])}")
+    sys.stdout.write(problems.solve(inst, _given(args.bound, inst.bound)))
     return 0
 
 
@@ -571,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.set_defaults(func=cmd_hom)
 
     solve = sub.add_parser("solve", help="bounded deciders")
-    solve.add_argument("problem", choices=["ssp", "kp", "smp", "gpcp", "twisted", "factor"])
+    solve.add_argument("problem", choices=_SOLVE_PROBLEMS)
     solve.add_argument("--instance", required=True)
     solve.add_argument("--bound", type=int, default=None)
     solve.set_defaults(func=cmd_solve)

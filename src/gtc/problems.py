@@ -1,4 +1,5 @@
-"""Brute-force and bounded deciders for the algorithmic problems.
+"""Brute-force and bounded deciders for the algorithmic problems, and
+the instance files and report of ``gtc solve``.
 
 Everything here is explicitly bounded or exhaustive at small sizes; the
 guard caps enumeration at 2^20 states.  Every returned witness is
@@ -7,19 +8,19 @@ re-evaluated against the target before it leaves the function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from typing import Optional
 
 from .errors import BoundError, ParseError, RankError
-from .platforms import (ENUM_GUARD, Element, Platform, SubgroupGens, bfs_words,
-                        enumerate_subgroup_values, eval_word, meet_in_middle,
+from .platforms import (ENUM_GUARD, Element, FreePlatform, Platform, SubgroupGens,
+                        bfs_words, enumerate_subgroup_values, eval_word, meet_in_middle,
                         platform_from_spec, signed_letters)
 from .protocols import parse_gens
 from .tietze import GenMap, apply_map
 from .words import (Word, empty_word, int_value, invert, multiply, one_field,
-                    parse_word, read_fields)
+                    parse_word, read_fields, serialize_word)
 
 
 def _recheck(holds: bool, problem: str) -> None:
@@ -134,13 +135,11 @@ def gpcp_bounded_search(
     a: Word,
     b: Word,
     term_len_bound: int,
-    group_mode: bool = True,
 ) -> Optional[Word]:
-    """Bounded non-homogeneous correspondence search: find a term t with
-    a t(u) = b t(v).  Terms are words in the k variables (and inverses in
-    the group case); evaluation substitutes the tuples and reduces freely
-    (positive words never reduce, so the monoid case needs no other
-    product)."""
+    """Bounded non-homogeneous correspondence search in the free group:
+    find a term t with a t(u) = b t(v).  Terms are words in the k
+    variables and their inverses; evaluation substitutes the tuples and
+    reduces freely."""
     if len(u) != len(v):
         raise RankError("tuples u and v must have the same length")
     k = len(u)
@@ -148,12 +147,8 @@ def gpcp_bounded_search(
     for wd in list(u) + list(v) + [b]:
         if wd.rank != rank:
             raise RankError("all words must share one alphabet")
-    if not group_mode:
-        for wd in list(u) + list(v) + [a, b]:
-            if any(l < 0 for l in wd.letters):
-                raise RankError("monoid mode needs positive words")
 
-    letters = signed_letters(k) if group_mode else range(1, k + 1)
+    letters = signed_letters(k)
     subs = {
         l: (u[l - 1], v[l - 1]) if l > 0 else (invert(u[-l - 1]), invert(v[-l - 1]))
         for l in letters
@@ -221,76 +216,103 @@ def factorization_decide_bounded(
 
 
 # ---------------------------------------------------------------------------
-# instance files
+# instance files and the solve report
+
+# the keys each problem's instance file reads, besides 'problem' and the
+# optional 'bound'; the first is the platform or rank the others are read in
+PROBLEM_KEYS = {
+    "ssp": ("platform", "elem", "target"),
+    "kp": ("platform", "elem", "target"),
+    "smp": ("platform", "elem", "target"),
+    "gpcp": ("rank", "u", "v", "a", "b"),
+    "twisted": ("rank", "source", "target", "phi", "psi"),
+    "factor": ("platform", "agens", "bgens", "target"),
+}
+_LIST_KEYS = ("elem", "u", "v")  # the keys a file may repeat, or leave out
+
 
 @dataclass
 class ProblemInstance:
     problem: str
-    platform: Optional[Platform] = None
-    elements: list = field(default_factory=list)
-    target: Optional[Element] = None
-    bound: Optional[int] = None
-    rank: Optional[int] = None
-    u: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    a: Optional[Word] = None
-    b: Optional[Word] = None
-    phi: Optional[GenMap] = None
-    psi: Optional[GenMap] = None
-    agens: Optional[SubgroupGens] = None
-    bgens: Optional[SubgroupGens] = None
-    target_word: Optional[Word] = None
-    source: Optional[Word] = None
+    bound: Optional[int]
+    values: dict  # key -> parsed value; a list for each of _LIST_KEYS
 
 
-# the keys an instance file may repeat, and those it may give at most once
-_LIST_KEYS = ("elem", "u", "v")
-_ONCE_KEYS = ("problem", "platform", "rank", "bound", "target", "source", "a", "b",
-              "phi", "psi", "agens", "bgens")
-
-
-def _parse_map(text: str, rank: int) -> GenMap:
-    images = tuple(parse_word(part, rank) for part in text.split(";"))
-    return GenMap(len(images), rank, images)
+def _read_value(key: str, value: str, head):
+    """One value line, read against the instance's platform or rank."""
+    if isinstance(head, Platform):
+        return parse_gens(head, value) if key in ("agens", "bgens") else head.parse_element(value)
+    if key in ("phi", "psi"):
+        images = tuple(parse_word(part, head) for part in value.split(";"))
+        return GenMap(len(images), head, images)
+    return parse_word(value, head)
 
 
 def parse_instance(text: str) -> ProblemInstance:
-    """Problem instance file: 'key: value' lines, '#' comments; see the
-    README for the per-problem keys.  An unknown key, or a second line of
-    a key outside _LIST_KEYS, is a ParseError."""
+    """Problem instance file: 'key: value' lines, '#' comments; the keys
+    are 'problem', the problem's PROBLEM_KEYS and an optional 'bound'.
+    Any other key, a missing key, or a second line of a key outside
+    _LIST_KEYS is a ParseError."""
     [fields] = read_fields(text, comments=True)
     for key, value in fields:
         if not key:
             raise ParseError(f"bad instance line {value!r}")
-        if key not in _LIST_KEYS + _ONCE_KEYS:
+    problem = one_field(fields, "problem")
+    if problem not in PROBLEM_KEYS:
+        raise ParseError(f"unknown problem {problem!r}")
+    keys = PROBLEM_KEYS[problem]
+    for key, _ in fields:
+        if key not in keys + ("problem", "bound"):
             raise ParseError(f"unknown instance key {key!r}")
-    for key in _ONCE_KEYS:
-        one_field(fields, key, optional=True)
-    inst = ProblemInstance(problem=one_field(fields, "problem"))
-    spec = one_field(fields, "platform", optional=True)
-    if spec is not None:
-        inst.platform = platform_from_spec(spec)
-    for key, lo in (("rank", 1), ("bound", 0)):
-        value = one_field(fields, key, optional=True)
-        if value is not None:
-            setattr(inst, key, int_value(key, value, lo=lo))
-    platform, rank = inst.platform, inst.rank
+    once = {key: one_field(fields, key, optional=True)
+            for key in keys + ("bound",) if key not in _LIST_KEYS}
+    bound = None if once["bound"] is None else int_value("bound", once["bound"], lo=0)
+    values = {key: [] for key in keys if key in _LIST_KEYS}
+    head_key, head = keys[0], once[keys[0]]
+    if head is not None:
+        head = platform_from_spec(head) if head_key == "platform" else int_value("rank", head, lo=1)
+        values[head_key] = head
     for key, value in fields:
-        if key in ("elem", "agens", "bgens") and platform is None:
-            raise ParseError(f"'{key}:' needs a 'platform:' line")
-        if key == "target" and platform is not None:
-            inst.target = platform.parse_element(value)
-        elif key in ("target", "source", "u", "v", "a", "b", "phi", "psi"):
-            if rank is None:
-                raise ParseError(f"'{key}:' needs a 'rank:' line")
-            if key in ("phi", "psi"):
-                setattr(inst, key, _parse_map(value, rank))
-            elif key in ("u", "v"):
-                getattr(inst, key).append(parse_word(value, rank))
-            else:
-                setattr(inst, "target_word" if key == "target" else key, parse_word(value, rank))
-        elif key == "elem":
-            inst.elements.append(platform.parse_element(value))
-        elif key in ("agens", "bgens"):
-            setattr(inst, key, parse_gens(platform, value))
-    return inst
+        if key in ("problem", "bound", head_key):
+            continue
+        if head is None:
+            raise ParseError(f"'{key}:' needs a '{head_key}:' line")
+        if key in _LIST_KEYS:
+            values[key].append(_read_value(key, value, head))
+        else:
+            values[key] = _read_value(key, value, head)
+    for key in keys:
+        if key not in values:
+            raise ParseError(f"{problem} instance has no '{key}:' line")
+    return ProblemInstance(problem, bound, values)
+
+
+def solve(inst: ProblemInstance, bound: Optional[int]) -> str:
+    """The ``gtc solve`` report: run the instance's decider within
+    ``bound`` (ssp is exact and ignores it) and format what it found."""
+    problem, v = inst.problem, inst.values
+    if bound is None and problem != "ssp":
+        raise ParseError(f"{problem} instance has no 'bound:' line and no --bound")
+    if problem == "gpcp":
+        term = gpcp_bounded_search(v["u"], v["v"], v["a"], v["b"], bound)
+        return f"term: {'absent' if term is None else serialize_word(term)}\n"
+    if problem == "factor":
+        found = factorization_decide_bounded(v["target"], v["agens"], v["bgens"], bound)
+        if found is None:
+            return "witness: absent\n"
+        return f"a-expr: {serialize_word(found[0])}\nb-expr: {serialize_word(found[1])}\n"
+    if problem == "twisted":
+        free = FreePlatform(v["rank"])
+        found = twisted_conjugacy_bounded(free.element(v["source"]), free.element(v["target"]),
+                                          v["phi"], v["psi"], bound)
+        text = None if found is None else serialize_word(found)
+    elif problem == "smp":
+        found = smp_decide_bounded(v["platform"], v["elem"], v["target"], bound)
+        text = None if found is None else ",".join(str(i + 1) for i in found) or "e"
+    else:
+        if problem == "kp":
+            found = kp_decide_bounded(v["platform"], v["elem"], v["target"], bound)
+        else:
+            found = ssp_decide(v["platform"], v["elem"], v["target"])
+        text = None if found is None else ",".join(map(str, found))
+    return f"witness: {'absent' if text is None else text}\n"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gtc import attacks, cli, protocols
+from gtc import attacks, cli, problems, protocols
 from gtc.cli import main
 
 
@@ -365,6 +365,15 @@ SOLVE_PINS = [
                 "bound: 3"], "a-expr: -2\nb-expr: -2,1\n"),
     ("factor", ["platform: matrix 3 5", AGENS, BGENS, "target: 1 0 0 1 1 0 0 0 1",
                 "bound: 2"], "witness: absent\n"),
+    ("ssp", ["platform: perm 4", "elem: 2 1 3 4", "elem: 2 3 4 1", "elem: 1 2 4 3",
+             "target: 3 2 4 1"], "witness: 1,1,0\n"),
+    ("ssp", ["platform: perm 4", "elem: 2 1 3 4", "elem: 2 3 4 1", "target: 1 2 4 3"],
+     "witness: absent\n"),
+    ("kp", ["platform: matrix 3 5", "elem: 1 1 0 0 1 0 0 0 1", "elem: 1 0 0 0 1 1 0 0 1",
+            "target: 1 3 1 0 1 2 0 0 1", "bound: 4"], "witness: 3,2\n"),
+    ("kp", ["platform: matrix 3 5", "elem: 1 1 0 0 1 0 0 0 1", "elem: 1 0 0 0 1 1 0 0 1",
+            "target: 1 0 1 0 1 0 0 0 1", "bound: 4"], "witness: absent\n"),
+    ("smp", ["platform: perm 3", "elem: 2 1 3", "target: 1 2 3", "bound: 2"], "witness: e\n"),
 ]
 
 
@@ -431,6 +440,9 @@ MATRIX_INSTANCE = ["platform: matrix 3 5", f"elem: {IDENTITY3}", f"target: {IDEN
      "expected one 'target:' line, found 2"),
     ("twisted", ["rank: 2", "source: 1", "target: 1", "target: 2", "phi: 1;2", "psi: 1;2",
                  "bound: 2"], "expected one 'target:' line, found 2"),
+    ("ssp", MATRIX_INSTANCE + ["rank: 2", "u: 1", "phi: 1;2"], "unknown instance key 'rank'"),
+    ("twisted", ["platform: free 2", "rank: 2", "source: 1", "target: 1", "phi: 1;2",
+                 "psi: 1;2", "bound: 2"], "unknown instance key 'platform'"),
 ])
 def test_malformed_solve_instance_exits_2(tmp_path, capsys, problem, lines, message):
     code, out, err = _solve(tmp_path, capsys, problem, lines)
@@ -607,3 +619,4 @@ def test_commands_import_only_the_layers_they_run():
 def test_parser_name_tables_match_the_layers():
     assert tuple(cli._PROTOCOL_PLATFORMS) == protocols.PROTOCOLS
     assert list(cli._ATTACK_METHODS) == sorted(attacks.ATTACK_DRIVERS)
+    assert cli._SOLVE_PROBLEMS == tuple(problems.PROBLEM_KEYS)

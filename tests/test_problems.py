@@ -214,16 +214,6 @@ def test_gpcp_unsolvable_within_bound():
     assert gpcp_bounded_search(u, v, a, b, 4) is None
 
 
-def test_gpcp_monoid_mode():
-    u = [Word((1,), 2)]
-    v = [Word((1, 1), 2)]
-    a = Word((1,), 2)
-    b = empty_word(2)
-    # a t(u) = b t(v) with t = x1: 1,1 == 1,1 literally
-    found = gpcp_bounded_search(u, v, a, b, 2, group_mode=False)
-    assert found == Word((1,), 1)
-
-
 # --- twisted conjugacy -----------------------------------------------------------
 
 def test_gpcp_witness_is_rechecked(monkeypatch):
@@ -409,8 +399,8 @@ bound: 1
 """
     inst = parse_instance(text)
     assert inst.problem == "ssp"
-    assert len(inst.elements) == 2
-    witness = ssp_decide(inst.platform, inst.elements, inst.target)
+    assert len(inst.values["elem"]) == 2
+    witness = ssp_decide(inst.values["platform"], inst.values["elem"], inst.values["target"])
     assert witness == (1, 1)
 
 
@@ -426,10 +416,10 @@ bound: 2
 """
     inst = parse_instance(text)
     found = twisted_conjugacy_bounded(
-        FreePlatform(2).element(inst.source),
-        FreePlatform(2).element(inst.target_word),
-        inst.phi,
-        inst.psi,
+        FreePlatform(2).element(inst.values["source"]),
+        FreePlatform(2).element(inst.values["target"]),
+        inst.values["phi"],
+        inst.values["psi"],
         inst.bound,
     )
     assert found == empty_word(2)
@@ -449,7 +439,7 @@ def test_parse_instance_errors():
         with pytest.raises(ParseError, match="expected one"):
             parse_instance(twisted + line + "\n")
     gpcp = "problem: gpcp\nrank: 2\nu: 1\nu: 2\nv: 2\nv: 1\na: 1\nb: 2\n"
-    assert len(parse_instance(gpcp).u) == 2
+    assert len(parse_instance(gpcp).values["u"]) == 2
     for line in ("a: 2", "b: 1", "rank: 2", "bound: 1\nbound: 2"):
         with pytest.raises(ParseError, match="expected one"):
             parse_instance(gpcp + line + "\n")
