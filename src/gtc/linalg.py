@@ -2,8 +2,8 @@
 
 Sizes 3 and 4, the ones the protocols use, multiply and invert through
 straight-line kernels and test invertibility by a closed-form determinant;
-every other size, and the centralizer's linear system, share one
-Gauss-Jordan routine.  The kernels live outside gtc.platforms because
+every other size, nullspaces and centralizers share one Gauss-Jordan
+routine.  The kernels live outside gtc.platforms because
 CPython holds a module's whole syntax tree while it compiles the source:
 apart, the two trees are never in memory at once.
 """
@@ -174,3 +174,33 @@ def nullspace_mod_p(rows: list, p: int) -> list:
             vec[pc] = (-m[r][fc]) % p
         basis.append(tuple(vec))
     return basis
+
+
+def centralizer_basis(m: tuple, p: int) -> list:
+    """The basis nullspace_mod_p gives for Xm - mX = 0: row-major matrices commuting with m.
+
+    If I, m, ..., m^(n-1) are independent they span the centralizer; reduced
+    with reversed columns, their rows reversed and read backwards are that
+    basis (1 on one free column, 0 on the others).  Otherwise solve the system.
+    """
+    n = len(m)
+    powers = [mat_identity(n)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], m, p))
+    reduced, pivots = _row_reduce([[v for row in q[::-1] for v in row[::-1]] for q in powers], p)
+    if len(pivots) == n:
+        return [tuple(row[::-1]) for row in reversed(reduced)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k2 in range(n):
+                for l in range(n):
+                    coeff = 0
+                    if k2 == i:
+                        coeff += m[l][j]
+                    if l == j:
+                        coeff -= m[i][k2]
+                    row[k2 * n + l] = coeff % p
+            rows.append(tuple(row))
+    return nullspace_mod_p(rows, p)

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import mul
 from typing import Callable, Optional
 
 from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
-from .linalg import is_invertible, mat_identity, mat_inv, mat_mul, nullspace_mod_p
+from .linalg import centralizer_basis, is_invertible, mat_identity, mat_inv, mat_mul
 from .words import (Word, empty_word, free_reduce, invert, multiply, parse_word,
                     random_reduced_word, serialize_word)
 
@@ -627,38 +628,19 @@ def direct_factor_subgroups(platform: DirectFreePlatform) -> tuple[SubgroupGens,
 def matrix_centralizer_sample(g: Element, k: int, rng: random.Random) -> SubgroupGens:
     """Sample k invertible matrices commuting with g.
 
-    Solves the linear system Xg - gX = 0 over Z_p and rejection-samples
-    invertible members of the solution space.
+    Draws random combinations of linalg.centralizer_basis and keeps the
+    invertible ones.
     """
     platform = g.platform
     if not isinstance(platform, MatrixModP):
         raise ValueError("centralizer sampling needs a matrix platform")
     n, p = platform.n, platform.p
-    m = g.payload
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k2 in range(n):
-                for l in range(n):
-                    coeff = 0
-                    if k2 == i:
-                        coeff += m[l][j]
-                    if l == j:
-                        coeff -= m[i][k2]
-                    row[k2 * n + l] = coeff % p
-            rows.append(tuple(row))
-    basis = nullspace_mod_p(rows, p)
-    if not basis:
-        raise SamplingError("centralizer solution space is empty")  # cannot happen: I commutes
+    basis = centralizer_basis(g.payload, p)
     samples = []
     for _ in range(k):
         for attempt in range(SAMPLE_TRIES):
             coeffs = [rng.randrange(p) for _ in basis]
-            vec = [0] * (n * n)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    vec = [(v + c * bv) % p for v, bv in zip(vec, b)]
+            vec = [sum(map(mul, coeffs, col)) % p for col in zip(*basis)]
             mat = tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(n))
             if is_invertible(mat, p):
                 samples.append(Element(platform, mat))

@@ -308,11 +308,11 @@ def solve(inst: ProblemInstance, bound: Optional[int]) -> str:
         text = None if found is None else serialize_word(found)
     elif problem == "smp":
         found = smp_decide_bounded(v["platform"], v["elem"], v["target"], bound)
-        text = None if found is None else ",".join(str(i + 1) for i in found) or "e"
+        text = None if found is None else ",".join(str(i + 1) for i in found)
     else:
         if problem == "kp":
             found = kp_decide_bounded(v["platform"], v["elem"], v["target"], bound)
         else:
             found = ssp_decide(v["platform"], v["elem"], v["target"])
         text = None if found is None else ",".join(map(str, found))
-    return f"witness: {'absent' if text is None else text}\n"
+    return f"witness: {'absent' if text is None else text or 'e'}\n"

@@ -374,6 +374,9 @@ SOLVE_PINS = [
     ("kp", ["platform: matrix 3 5", "elem: 1 1 0 0 1 0 0 0 1", "elem: 1 0 0 0 1 1 0 0 1",
             "target: 1 0 1 0 1 0 0 0 1", "bound: 4"], "witness: absent\n"),
     ("smp", ["platform: perm 3", "elem: 2 1 3", "target: 1 2 3", "bound: 2"], "witness: e\n"),
+    # zero items: the empty witness prints as e, as smp's empty product does
+    ("kp", ["platform: free 1", "target: e", "bound: 1"], "witness: e\n"),
+    ("ssp", ["platform: free 1", "target: e"], "witness: e\n"),
 ]
 
 

@@ -159,15 +159,17 @@ def test_block_commuting_requires_even_n():
 
 
 def test_matrix_centralizer_sample():
+    """Every sample commutes with g and is invertible: 3x3 mod 7, the sessions
+    workload's 4x4 mod 5, and the identity, which commutes with everything."""
     rng = random.Random(9)
-    pf = MatrixModP(3, 7)
-    g = pf.random_element(rng)
-    sample = matrix_centralizer_sample(g, 4, rng)
-    for x in sample.gens:
-        assert pf.multiply(x, g) == pf.multiply(g, x)
-    # the identity and g itself commute with g (trivial members of the space)
-    assert pf.multiply(pf.identity(), g) == pf.multiply(g, pf.identity())
-    assert pf.multiply(g, g) == pf.multiply(g, g)
+    for n, p, is_identity in [(3, 7, False), (4, 5, False), (4, 5, True)]:
+        pf = MatrixModP(n, p)
+        g = pf.identity() if is_identity else pf.random_element(rng)
+        sample = matrix_centralizer_sample(g, 4, rng)
+        assert len(sample.gens) == 4
+        for x in sample.gens:
+            assert pf.multiply(x, g) == pf.multiply(g, x)
+            assert is_invertible(x.payload, p)
 
 
 def test_direct_product_platform():
@@ -342,3 +344,43 @@ def test_kernels_match_the_generic_code(primes, data):
     assert mat_mul(a, b, p) == naive_mat_mul(a, b, p)
     assert mat_inv(a, p) == gauss_jordan_inverse(a, p)
     assert is_invertible(a, p) == (leibniz_det(a, p) != 0)
+
+
+def commutator_system(m, p):
+    """Xm - mX = 0 as n^2 equations in the row-major entries of X."""
+    n = len(m)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[i * n + k] += m[k][j]  # (Xm)[i][j] = sum_k X[i][k] m[k][j]
+                row[k * n + j] -= m[i][k]  # (mX)[i][j] = sum_k m[i][k] X[k][j]
+            rows.append([v % p for v in row])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices_mod_p(1, primes=(2, 3, 5, 2147483647)))
+def test_centralizer_basis_is_the_nullspace_of_the_commutator_system(case):
+    p, (m,) = case
+    assert linalg.centralizer_basis(m, p) == linalg.nullspace_mod_p(commutator_system(m, p), p)
+
+
+def diag(*entries):
+    return tuple(tuple(v if i == j else 0 for j, v in enumerate(entries))
+                 for i in range(len(entries)))
+
+
+@pytest.mark.parametrize("m,p", [
+    (mat_identity(4), 5),
+    (diag(3, 3, 3), 7),
+    (diag(1, 1, 2, 3), 5),
+    (block_commuting_subgroups(4, 5, 1, 1, random.Random(0))[0].gens[0].payload, 5),
+], ids=["identity", "scalar", "diag(1,1,2,3)", "block generator"])
+def test_centralizer_basis_of_derogatory_matrices(m, p):
+    """The powers of these matrices span less than their centralizer, so the
+    basis comes from the general system."""
+    basis = linalg.centralizer_basis(m, p)
+    assert len(basis) > len(m)
+    assert basis == linalg.nullspace_mod_p(commutator_system(m, p), p)
