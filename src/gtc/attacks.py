@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import AttackFailed, ParseError
 from .platforms import (Element, Platform, SubgroupGens, bfs_words, enumerate_subgroup_values,
                         eval_word, meet_in_middle, signed_letters, square_and_multiply)
-from .problems import _recheck
+from .problems import _check_same_platform, _recheck
 from .protocols import Transcript, parse_gens
 from .words import Word
 
@@ -46,15 +46,21 @@ def format_attack_report(report: AttackReport, platform: Platform) -> str:
 class DlogResult(NamedTuple):
     exponent: Optional[int]
     multiplications: int
+    cycle_closed: bool = False  # g^n came back to 1 first: target is no power of g
 
 
 def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int) -> DlogResult:
-    """Scan g^n for n = 1..bound; work counter is the number of products."""
-    acc = platform.identity()
+    """Scan g^n for n = 1..bound, or until g^n = 1; work counter is the
+    number of products."""
+    _check_same_platform(platform, (g, target))
+    mul, x, t = platform.mul, g.payload, target.payload
+    acc = one = platform.identity().payload
     for n in range(1, bound + 1):
-        acc = platform.multiply(acc, g)
-        if acc == target:
+        acc = mul(acc, x)
+        if acc == t:
             return DlogResult(n, n)
+        if acc == one:
+            return DlogResult(None, n, True)
     return DlogResult(None, bound)
 
 
@@ -72,13 +78,13 @@ def brute_force_csp(
     conjugate seen before is skipped, so candidates are distinct conjugates,
     and a miss that ends before the bound has exhausted the orbit of u."""
     platform = gens.platform
-    multiply, table = platform.multiply, gens.letter_table
-    conjugates = bfs_words(u, signed_letters(len(gens)),
-                           lambda x, l: multiply(multiply(table[-l], x), table[l]), max_len,
-                           key=lambda x: x.payload)
+    _check_same_platform(platform, (u, v))
+    mul, table, target = platform.mul, gens.letter_table, v.payload
+    conjugates = bfs_words(u.payload, signed_letters(len(gens)),
+                           lambda x, l: mul(mul(table[-l], x), table[l]), max_len, dedup=True)
     candidates = 0
     for candidates, (expr, value) in enumerate(conjugates, start=1):
-        if value == v:
+        if value == target:
             x = Word(expr, len(gens))
             _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
             return CspResult(x, candidates)
@@ -177,7 +183,8 @@ def length_based_attack(
     if len(observed) != len(B.gens):
         raise AttackFailed("transcript does not carry one conjugate per generator")
     a_conj = [platform.parse_element(p) for p in transcript.find_all("a")]
-    multiply, table = platform.multiply, A.letter_table
+    multiply = platform.multiply
+    table = {l: Element(A.platform, x) for l, x in A.letter_table.items()}
     current = list(observed)
     base = list(B.gens)
     peeled: list[int] = []
@@ -243,10 +250,11 @@ def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
     if platform.kind != "cyclic":
         raise ParseError(f"dlog needs a cyclic platform, not {platform.kind}")
     g = platform.generators()[0]
-    found, work = brute_force_dlog(platform, g, ga, bound)
+    found, work, closed = brute_force_dlog(platform, g, ga, bound)
     if found is None:
         return AttackReport("dlog", False, work={"multiplications": work},
-                            notes="exponent not found within bound")
+                            notes=f"g^a is not a power of g (cycle closed at {work})" if closed
+                            else "exponent not found within bound")
     return AttackReport("dlog", True, recovered_key=square_and_multiply(platform, gb, found),
                         work={"multiplications": work},
                         notes=f"recovered exponent {found}")

@@ -11,7 +11,7 @@ apart, the two trees are never in memory at once.
 from __future__ import annotations
 
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 
 def mat_identity(n: int) -> tuple:
@@ -134,6 +134,12 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
         return _mm4(a, b, p)
     bt = list(zip(*b))
     return tuple([tuple([sum(map(mul, ra, cb)) % p for cb in bt]) for ra in a])
+
+
+def mat_mul_mod(n: int, p: int) -> Callable:
+    """mat_mul of n x n matrices with p bound: the size's kernel, chosen once."""
+    kernel = {3: _mm3, 4: _mm4}.get(n, mat_mul)
+    return lambda a, b: kernel(a, b, p)
 
 
 def mat_inv(m: tuple, p: int) -> Optional[tuple]:

@@ -4,7 +4,9 @@ Every kind implements the contract in the Platform docstring, and
 eval_word evaluates a Word over a list of generator Elements.  Payloads
 are always canonical: reduced words, residues in [1, p-1], bijective image
 tuples, matrices with entries reduced mod p, or pairs of reduced words
-for the direct product of two free groups.
+for the direct product of two free groups.  Searches and eval_word step
+on payloads with the kind's mul and build Elements only for what they
+report or re-check.
 
 All arithmetic is exact integer arithmetic; matrices over Z_p use the
 kernels of gtc.linalg.
@@ -14,12 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
 from typing import Callable, Optional
 
 from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
-from .linalg import centralizer_basis, is_invertible, mat_identity, mat_inv, mat_mul
+from .linalg import centralizer_basis, is_invertible, mat_identity, mat_inv, mat_mul_mod
 from .words import (Word, empty_word, free_reduce, invert, multiply, parse_word,
                     random_reduced_word, serialize_word)
 
@@ -83,10 +85,11 @@ class Platform:
     """Uniform group contract shared by all platform kinds.
 
     Each kind is a frozen dataclass whose ``init`` fields are its integer
-    parameters, and implements identity(), multiply(a, b), invert(a),
-    generators(), element(...) (validated construction), random_element(rng),
-    serialize_element(e) and parse_element(text), the inverse of
-    serialize_element that raises ParseError.
+    parameters, and implements identity(), mul(x, y), the product of two
+    payloads, multiply(a, b) = Element(self, mul(a.payload, b.payload)),
+    invert(a), generators(), element(...) (validated construction),
+    random_element(rng), serialize_element(e) and parse_element(text), the
+    inverse of serialize_element that raises ParseError.
     """
 
     kind: str = "abstract"
@@ -123,8 +126,10 @@ class FreePlatform(Platform):
     def identity(self) -> Element:
         return Element(self, empty_word(self.rank))
 
+    mul = staticmethod(multiply)
+
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(self, multiply(a.payload, b.payload))
+        return Element(self, self.mul(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
         return Element(self, invert(a.payload))
@@ -172,8 +177,11 @@ class CyclicModP(Platform):
     def identity(self) -> Element:
         return Element(self, 1)
 
+    def mul(self, x: int, y: int) -> int:
+        return x * y % self.p
+
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(self, (a.payload * b.payload) % self.p)
+        return Element(self, self.mul(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
         return Element(self, pow(a.payload, -1, self.p))
@@ -213,8 +221,11 @@ class PermutationPlatform(Platform):
     def identity(self) -> Element:
         return Element(self, tuple(range(1, self.degree + 1)))
 
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        return tuple([y[i - 1] for i in x])
+
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(self, tuple(b.payload[i - 1] for i in a.payload))
+        return Element(self, self.mul(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
         inv = [0] * self.degree
@@ -268,8 +279,12 @@ class MatrixModP(Platform):
     def identity(self) -> Element:
         return Element(self, mat_identity(self.n))
 
+    @cached_property
+    def mul(self) -> Callable:
+        return mat_mul_mod(self.n, self.p)
+
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(self, mat_mul(a.payload, b.payload, self.p))
+        return Element(self, self.mul(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
         inv = mat_inv(a.payload, self.p)
@@ -342,10 +357,11 @@ class DirectFreePlatform(Platform):
     def identity(self) -> Element:
         return Element(self, (empty_word(self.rank1), empty_word(self.rank2)))
 
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        return multiply(x[0], y[0]), multiply(x[1], y[1])
+
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(
-            self, (multiply(a.payload[0], b.payload[0]), multiply(a.payload[1], b.payload[1]))
-        )
+        return Element(self, self.mul(a.payload, b.payload))
 
     def invert(self, a: Element) -> Element:
         return Element(self, (invert(a.payload[0]), invert(a.payload[1])))
@@ -422,12 +438,13 @@ class SubgroupGens:
         return len(self.gens)
 
     @cached_property
-    def letter_table(self) -> dict[int, Element]:
-        """gens[i-1] under letter i and its inverse under -i; each generator
-        is inverted once per list, and every caller reads the same table."""
+    def letter_table(self) -> dict:
+        """The payload of gens[i-1] under letter i and of its inverse under
+        -i; each generator is inverted once per list, and every caller reads
+        the same table."""
         table = {}
         for i, g in enumerate(self.gens, start=1):
-            table[i], table[-i] = g, self.platform.invert(g)
+            table[i], table[-i] = g.payload, self.platform.invert(g).payload
         return table
 
     def contains(self, e: Element) -> Optional[bool]:
@@ -460,11 +477,9 @@ def eval_word(gens: SubgroupGens, w: Word) -> Element:
     """Substitute gens[i-1] for letter i (inverse for negative letters)."""
     if w.rank > len(gens.gens):
         raise RankError(f"word rank {w.rank} exceeds {len(gens.gens)} generators")
-    multiply, table = gens.platform.multiply, gens.letter_table
-    out = gens.platform.identity()
-    for letter in w.letters:
-        out = multiply(out, table[letter])
-    return out
+    platform = gens.platform
+    return Element(platform, reduce(platform.mul, map(gens.letter_table.__getitem__, w.letters),
+                                    platform.identity().payload))
 
 
 @dataclass(frozen=True)
@@ -492,18 +507,18 @@ def signed_letters(k: int) -> list[int]:
     return [l for i in range(1, k + 1) for l in (i, -i)]
 
 
-def bfs_words(start, letters, step: Callable, bound: int, key: Optional[Callable] = None):
+def bfs_words(start, letters, step: Callable, bound: int, dedup: bool = False):
     """Yield ``(letters, state)`` for every word of length <= bound over
     ``letters``, breadth-first: by length, then by letter order.
 
     A child's state is ``step(parent_state, letter)``, and a letter never
     follows its inverse.  Each node is yielded as it is created, so a
-    caller that stops at a hit expands nothing more.  With ``key``, a
-    state whose key was seen before is neither yielded nor expanded, so
-    each key keeps its first word, and the search ends when a length adds
-    no state.  Raises BoundError past ENUM_GUARD states.
+    caller that stops at a hit expands nothing more.  With ``dedup``, a
+    state seen before is neither yielded nor expanded, so each state keeps
+    its first word, and the search ends when a length adds no state.
+    Raises BoundError past ENUM_GUARD states.
     """
-    seen = None if key is None else {key(start)}
+    seen = {start} if dedup else None
     count = 1
     yield (), start
     frontier = [((), start)]
@@ -518,10 +533,9 @@ def bfs_words(start, letters, step: Callable, bound: int, key: Optional[Callable
                     continue
                 child = step(state, letter)
                 if seen is not None:
-                    k = key(child)
-                    if k in seen:
+                    if child in seen:
                         continue
-                    seen.add(k)
+                    seen.add(child)
                 count += 1
                 if count > ENUM_GUARD:
                     raise BoundError(f"enumeration exceeds the guard of {ENUM_GUARD} states")
@@ -535,12 +549,12 @@ def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
     """Distinct subgroup elements reachable by expressions of length
     <= max_len, in BFS order: {payload: (value, letters)}, where letters
     is the first (shortest) expression of the value."""
-    multiply, table = gens.platform.multiply, gens.letter_table
+    platform, mul, table = gens.platform, gens.platform.mul, gens.letter_table
     return {
-        value.payload: (value, expr)
+        value: (Element(platform, value), expr)
         for expr, value in bfs_words(
-            gens.platform.identity(), signed_letters(len(gens)),
-            lambda x, l: multiply(x, table[l]), max_len, key=lambda x: x.payload,
+            platform.identity().payload, signed_letters(len(gens)),
+            lambda x, l: mul(x, table[l]), max_len, dedup=True,
         )
     }
 

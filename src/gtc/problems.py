@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product, repeat
+from operator import getitem
 from typing import Optional
 
 from .errors import BoundError, ParseError, RankError
@@ -48,19 +49,20 @@ def ssp_decide(
     k = len(items)
     if k > 24:
         raise BoundError(f"k={k} exceeds the exhaustive-scan guard")
+    mul, values, t = platform.mul, [item.payload for item in items], target.payload
 
-    def search(i: int, acc: Element) -> Optional[tuple[int, ...]]:
+    def search(i: int, acc) -> Optional[tuple[int, ...]]:
         if i == k:
-            return () if acc == target else None
+            return () if acc == t else None
         skip = search(i + 1, acc)
         if skip is not None:
             return (0,) + skip
-        take = search(i + 1, platform.multiply(acc, items[i]))
+        take = search(i + 1, mul(acc, values[i]))
         if take is not None:
             return (1,) + take
         return None
 
-    witness = search(0, platform.identity())
+    witness = search(0, platform.identity().payload)
     if witness is not None:
         _recheck(_ordered_power_product(platform, items, witness) == target, "ssp")
     return witness
@@ -86,17 +88,11 @@ def kp_decide_bounded(
     k = len(items)
     if (exp_bound + 1) ** k > ENUM_GUARD:
         raise BoundError("exponent box exceeds the enumeration guard")
-    powers = []
-    for item in items:
-        row = [platform.identity()]
-        for _ in range(exp_bound):
-            row.append(platform.multiply(row[-1], item))
-        powers.append(row)
+    mul, one, t = platform.mul, platform.identity().payload, target.payload
+    # powers[i][e] = items[i]^e, each one product from the last
+    powers = [list(accumulate(repeat(item.payload, exp_bound), mul, initial=one)) for item in items]
     for vector in product(range(exp_bound + 1), repeat=k):
-        value = platform.identity()
-        for i, e in enumerate(vector):
-            value = platform.multiply(value, powers[i][e])
-        if value == target:
+        if reduce(mul, map(getitem, powers, vector), one) == t:
             _recheck(_ordered_power_product(platform, items, vector) == target, "kp")
             return vector
     return None
@@ -108,14 +104,14 @@ def smp_decide_bounded(
     """Submonoid membership by BFS over products, deduplicated by normal
     form; witness is a tuple of item indices (possibly empty)."""
     _check_same_platform(platform, items + [target])
-    multiply = platform.multiply
+    mul, values = platform.mul, [item.payload for item in items]
     for seq, value in bfs_words(
-        platform.identity(), range(1, len(items) + 1),
-        lambda x, l: multiply(x, items[l - 1]), len_bound, key=lambda x: x.payload,
+        platform.identity().payload, range(1, len(items) + 1),
+        lambda x, l: mul(x, values[l - 1]), len_bound, dedup=True,
     ):
-        if value == target:
+        if value == target.payload:
             witness = tuple(l - 1 for l in seq)
-            check = reduce(multiply, (items[j] for j in witness), platform.identity())
+            check = reduce(platform.multiply, (items[j] for j in witness), platform.identity())
             _recheck(check == target, "smp")
             return witness
     return None

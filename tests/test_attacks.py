@@ -22,11 +22,12 @@ from gtc.attacks import (
     normal_subgroup_attack,
     uniqueness_check,
 )
-from gtc.errors import AttackFailed
+from gtc.errors import AttackFailed, RankError
 from gtc.platforms import (
     CyclicModP,
     DirectFreePlatform,
     FreePlatform,
+    MatrixModP,
     SubgroupGens,
     block_commuting_subgroups,
     direct_factor_subgroups,
@@ -61,6 +62,26 @@ def test_dlog_trivial_and_absent():
     assert brute_force_dlog(cp, g, g2, 1).exponent is None
 
 
+def test_dlog_stops_when_the_powers_of_g_cycle():
+    cp = CyclicModP(1009, 1008)  # g = -1 has order 2
+    g = cp.element(1008)
+    assert brute_force_dlog(cp, g, cp.element(3), 10**7) == (None, 2, True)
+    # the target is checked before the identity, so 1 = g^2 is found
+    assert brute_force_dlog(cp, g, cp.identity(), 10**7) == (2, 2, False)
+    five = CyclicModP(23, 5)
+    assert brute_force_dlog(five, five.element(5), five.identity(), 100) == (22, 22, False)
+    # a bound below the order is no proof
+    assert brute_force_dlog(cp, g, cp.element(3), 1) == (None, 1, False)
+
+
+def test_dlog_rejects_elements_of_another_platform():
+    cp, other = CyclicModP(23, 5), CyclicModP(29, 2)
+    with pytest.raises(RankError):
+        brute_force_dlog(cp, other.element(5), cp.element(5), 10)
+    with pytest.raises(RankError):
+        brute_force_dlog(cp, cp.element(5), other.element(5), 10)
+
+
 def test_csp_trivial_cases():
     platform, w, A, _ = block_setup()
     found = brute_force_csp(w, w, A, 3)
@@ -70,6 +91,16 @@ def test_csp_trivial_cases():
     found = brute_force_csp(w, target, A, 3)
     assert found.expr is not None and len(found.expr) <= 1
     assert platform.conjugate(w, eval_word(A, found.expr)) == target
+
+
+def test_csp_rejects_elements_of_another_platform():
+    platform, w, A, _ = block_setup()
+    other = MatrixModP(4, 7).identity()
+    # the two identities have equal payloads: unchecked, the payload search reports a conjugator
+    with pytest.raises(RankError):
+        brute_force_csp(other, platform.identity(), A, 2)
+    with pytest.raises(RankError):
+        brute_force_csp(w, other, A, 2)
 
 
 def test_csp_planted_recovery_and_completeness():

@@ -7,6 +7,7 @@ given to the CLI exit 0 or exit 2 with 'error: ...', never a traceback.
 
 import random
 import signal
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -431,6 +432,22 @@ def test_csp_search_ends_when_the_orbit_closes(tmp_path, capsys, bound):
     assert code == 0
     assert "success: false\n" in out
     assert "work-candidates: 480\n" in out
+
+
+# dh over Z_1009* with g = 1008 = -1 of order 2: g^a = 3 is no power of g, and
+# the scan ran to the bound, 17 s at 10^7, before it stopped when g^n came back to 1
+def test_dlog_scan_ends_when_the_powers_of_g_cycle(tmp_path, capsys):
+    transcript = tmp_path / "dh.txt"
+    transcript.write_text("# protocol: dh\n# platform: cyclic 1009 1008\n"
+                          "1 Alice g^a 3\n2 Bob g^b 1008\n")
+    argv = ["attack", "--method", "dlog", "--bound", "10000000", "--transcript"]
+    run(argv + [tmp_path / "missing"], capsys)  # build the parser, import the layers
+    start = time.process_time()
+    code, out, _ = run(argv + [transcript], capsys)
+    assert time.process_time() - start < 0.5
+    assert code == 0
+    assert out.endswith("success: false\nwork-multiplications: 2\n"
+                        "notes: g^a is not a power of g (cycle closed at 2)\n"), out
 
 
 DH_RECORDS = "1 Alice g^a 5\n2 Bob g^b 7\n"

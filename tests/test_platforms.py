@@ -384,3 +384,28 @@ def test_centralizer_basis_of_derogatory_matrices(m, p):
     basis = linalg.centralizer_basis(m, p)
     assert len(basis) > len(m)
     assert basis == linalg.nullspace_mod_p(commutator_system(m, p), p)
+
+
+# --- the product on payloads ------------------------------------------------------
+
+# every kind, and matrices of the two kernel sizes and of the generic path on both sides
+PRODUCT_PLATFORMS = [FreePlatform(3), CyclicModP(1009, 11), PermutationPlatform(6),
+                     MatrixModP(2, 5), MatrixModP(3, 7), MatrixModP(4, 5), MatrixModP(5, 3),
+                     DirectFreePlatform(2, 3)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(platform=st.sampled_from(PRODUCT_PLATFORMS), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(1, 3), data=st.data())
+def test_mul_is_the_product_that_multiply_and_eval_word_use(platform, seed, k, data):
+    rng = random.Random(seed)
+    a, b = platform.random_element(rng), platform.random_element(rng)
+    assert platform.mul(a.payload, b.payload) == platform.multiply(a, b).payload
+    gens = SubgroupGens(platform, tuple(platform.random_element(rng) for _ in range(k)))
+    letters = data.draw(st.lists(st.sampled_from([l for i in range(1, k + 1) for l in (i, -i)]),
+                                 max_size=12))
+    expected = platform.identity()
+    for l in letters:
+        g = gens.gens[abs(l) - 1]
+        expected = platform.multiply(expected, g if l > 0 else platform.invert(g))
+    assert eval_word(gens, Word(tuple(letters), k)) == expected

@@ -1,7 +1,9 @@
-"""The bounded-search kernel against a direct enumeration of words."""
+"""The bounded-search kernel against a direct enumeration of words, and
+the products each search takes."""
 
 import random
 import tracemalloc
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtc import platforms
-from gtc.attacks import brute_force_csp, enumerate_subgroup_values
+from gtc.attacks import brute_force_csp, brute_force_dlog, enumerate_subgroup_values
 from gtc.cli import main
 from gtc.errors import BoundError
-from gtc.platforms import bfs_words, block_commuting_subgroups, eval_word, signed_letters
+from gtc.platforms import (CyclicModP, MatrixModP, PermutationPlatform, bfs_words,
+                           block_commuting_subgroups, eval_word, signed_letters)
+from gtc.problems import kp_decide_bounded, smp_decide_bounded, ssp_decide
 from gtc.words import Word
 
 # tracemalloc peak per state of a 4x4 block csp search that runs into the
-# guard: 665-705 B on 2x2 blocks over Z_17 and Z_19
+# guard: 605-625 B on 2x2 blocks over Z_17 and Z_19
 BYTES_PER_STATE = 700
 
 
@@ -53,7 +57,7 @@ def test_bfs_words_matches_product_enumeration(k, bound, positive, modulus, data
     first = {}
     for w, state in oracle:
         first.setdefault(state, w)
-    deduped = list(bfs_words(0, letters, step, bound, key=lambda state: state))
+    deduped = list(bfs_words(0, letters, step, bound, dedup=True))
     assert deduped == [(w, state) for state, w in first.items()]
 
 
@@ -82,10 +86,10 @@ def test_bfs_words_guard_raises_bound_error(monkeypatch):
     monkeypatch.setattr(platforms, "ENUM_GUARD", 9)
     # two reduced words of each positive length over {1, -1}: 1 + 2 * 4 = 9 states
     assert len(list(bfs_words(0, [1, -1], step, 4))) == 9
-    # with dedup only new keys are states: abs keeps 0, 1, 2, 3, 4
-    assert len(list(bfs_words(0, [1, -1], step, 4, key=abs))) == 5
+    # with dedup only new states count: |s + l| keeps 0, 1, 2, 3, 4
+    assert len(list(bfs_words(0, [1, -1], lambda s, l: abs(s + l), 4, dedup=True))) == 5
     with pytest.raises(BoundError):
-        list(bfs_words(0, [1, -1], step, 20, key=lambda s: s))
+        list(bfs_words(0, [1, -1], step, 20, dedup=True))
     monkeypatch.setattr(platforms, "ENUM_GUARD", 8)
     with pytest.raises(BoundError):
         list(bfs_words(0, [1, -1], step, 4))
@@ -111,14 +115,14 @@ def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys
 
 
 def first_hit_scan(u, v, gens, bound):
-    """The first conjugate equal to v in the full BFS (no key), and the
+    """The first conjugate equal to v in the full BFS (no dedup), and the
     number of distinct conjugates up to and including it."""
-    multiply, table = gens.platform.multiply, gens.letter_table
+    mul, table = gens.platform.mul, gens.letter_table
     distinct = set()
-    for expr, value in bfs_words(u, signed_letters(len(gens)),
-                                 lambda x, l: multiply(multiply(table[-l], x), table[l]), bound):
-        distinct.add(value.payload)
-        if value == v:
+    for expr, value in bfs_words(u.payload, signed_letters(len(gens)),
+                                 lambda x, l: mul(mul(table[-l], x), table[l]), bound):
+        distinct.add(value)
+        if value == v.payload:
             return expr, len(distinct)
     return None, len(distinct)
 
@@ -164,3 +168,73 @@ def test_the_guard_bounds_what_a_search_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= guard * BYTES_PER_STATE * 2
+
+
+# --- work pins: products per search, counted at the kind's mul ---------------------
+
+@contextmanager
+def counted_products(platform):
+    """Count the calls of platform.mul, the one product every search steps
+    with, while the block runs."""
+    calls = [0]
+    mul = platform.mul
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    vars(platform)["mul"] = counted  # shadows the class's mul on this instance
+    try:
+        yield calls
+    finally:
+        del vars(platform)["mul"]
+
+
+def test_absent_ssp_takes_one_product_per_branch():
+    # even powers of the primitive root 11 never multiply to the odd power 11
+    cp = CyclicModP(1009, 11)
+    rng = random.Random(5)
+    items = [cp.element(pow(11, 2 * rng.randrange(1, 504), 1009)) for _ in range(10)]
+    with counted_products(cp) as calls:
+        assert ssp_decide(cp, items, cp.element(11)) is None
+    assert calls == [2**10 - 1]
+
+
+def test_kp_box_takes_the_powers_and_k_products_per_vector():
+    # three even permutations of S4 against a transposition: the whole box runs
+    s4 = PermutationPlatform(4)
+    items = [s4.element(img) for img in ((2, 3, 1, 4), (1, 3, 4, 2), (2, 1, 4, 3))]
+    with counted_products(s4) as calls:
+        assert kp_decide_bounded(s4, items, s4.element((2, 1, 3, 4)), 4) is None
+    assert calls == [3 * 4 + 5**3 * 3]
+
+
+def test_smp_search_takes_one_product_per_state_and_item():
+    # the two transvections generate SL(2, 5), 120 elements; det 2 is outside
+    m2 = MatrixModP(2, 5)
+    items = [m2.element(((1, 1), (0, 1))), m2.element(((1, 0), (1, 1)))]
+    with counted_products(m2) as calls:
+        assert smp_decide_bounded(m2, items, m2.element(((2, 0), (0, 1))), 30) is None
+    assert calls == [120 * 2]
+
+
+def test_csp_search_to_its_bound_takes_two_products_per_step():
+    A, _ = block_commuting_subgroups(4, 5, 2, 2, random.Random(99))
+    u = A.platform.random_element(random.Random(1))
+    with counted_products(A.platform) as calls:
+        assert brute_force_csp(u, A.platform.identity(), A, 3) == (None, 48)
+    # 4 + 4 * 3 + 12 * 3 steps: no conjugate repeats before the last length
+    assert calls == [2 * (4 + 12 + 36)]
+
+
+def test_dlog_scan_takes_one_product_per_power():
+    cp = CyclicModP(23, 5)
+    with counted_products(cp) as calls:
+        assert brute_force_dlog(cp, cp.element(5), cp.element(18), 100).exponent == 12
+        assert brute_force_dlog(cp, cp.element(5), cp.element(18), 7).exponent is None
+    assert calls == [12 + 7]
+    order_two = CyclicModP(1009, 1008)
+    with counted_products(order_two) as calls:
+        assert brute_force_dlog(order_two, order_two.element(1008), order_two.element(3),
+                                10**7).cycle_closed
+    assert calls == [2]
