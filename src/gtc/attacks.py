@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import AttackFailed, ParseError
-from .platforms import (Element, Platform, SubgroupGens, bfs_words, enumerate_subgroup_values,
+from . import platforms
+from .errors import AttackFailed, BoundError, ParseError
+from .platforms import (Element, Platform, SubgroupGens, enumerate_subgroup_values,
                         eval_word, meet_in_middle, signed_letters, square_and_multiply)
 from .problems import _check_same_platform, _recheck
 from .protocols import Transcript, parse_gens
@@ -67,28 +68,63 @@ def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int
 class CspResult(NamedTuple):
     expr: Optional[Word]
     candidates: int
+    orbit_closed: bool = False  # an orbit closed first: no conjugator at any length
+
+
+def _next_level(level: dict, seen: set, letters, conj: Callable, prepend: bool,
+                room: int) -> dict:
+    """The states one letter past ``level`` that ``seen`` lacks, each with its
+    least word: appending l conjugates by l, parent then letter, and
+    prepending l by l^-1, letter then parent, so both meet words in
+    lexicographic order.  Raises BoundError once ``seen`` passes ``room``."""
+    items = list(level.items())
+    steps = (((p, l) for l in letters for p in items) if prepend
+             else ((p, l) for p in items for l in letters))
+    new = {}
+    for (state, word), l in steps:
+        if word and word[0 if prepend else -1] == -l:
+            continue
+        child = conj(state, -l if prepend else l)
+        if child not in seen:
+            seen.add(child)
+            if len(seen) > room:
+                raise BoundError(f"enumeration exceeds the guard of {platforms.ENUM_GUARD} states")
+            new[child] = (l,) + word if prepend else word + (l,)
+    return new
 
 
 def brute_force_csp(
     u: Element, v: Element, gens: SubgroupGens, max_len: int
 ) -> CspResult:
-    """Breadth-first over reduced expressions x (length, then letter order)
-    until u^x = v.  Complete up to the bound: any planted expression of
-    length <= max_len is found (possibly as a shorter equivalent).  A
-    conjugate seen before is skipped, so candidates are distinct conjugates,
-    and a miss that ends before the bound has exhausted the orbit of u."""
+    """The shortlex-first x with u^x = v and |x| <= max_len, met in the
+    middle: x = x1 x2 with u^x1 = v^(x2^-1).  At length L the u side has
+    appended ceil(L/2) letters and the v side prepended floor(L/2); each
+    keeps its seen set and newest level, and the first u-level state the
+    v level holds gives x.  candidates counts the states both sides hold at
+    the end, starts included (ENUM_GUARD bounds them).  A side whose new
+    level is empty has closed its orbit: no conjugator exists at any length,
+    and the search stops with orbit_closed."""
     platform = gens.platform
     _check_same_platform(platform, (u, v))
-    mul, table, target = platform.mul, gens.letter_table, v.payload
-    conjugates = bfs_words(u.payload, signed_letters(len(gens)),
-                           lambda x, l: mul(mul(table[-l], x), table[l]), max_len, dedup=True)
-    candidates = 0
-    for candidates, (expr, value) in enumerate(conjugates, start=1):
-        if value == target:
-            x = Word(expr, len(gens))
+    mul, table, letters = platform.mul, gens.letter_table, signed_letters(len(gens))
+
+    def conj(x, l):
+        return mul(mul(table[-l], x), table[l])
+
+    levels, seen, closed = [{u.payload: ()}, {v.payload: ()}], [{u.payload}, {v.payload}], False
+    for length in range(max_len + 1):
+        if length:
+            side = 1 - length % 2  # odd lengths deepen the u side
+            levels[side] = _next_level(levels[side], seen[side], letters, conj, side == 1,
+                                       platforms.ENUM_GUARD - len(seen[1 - side]))
+            if closed := not levels[side]:
+                break
+        hit = next((w + levels[1][s] for s, w in levels[0].items() if s in levels[1]), None)
+        if hit is not None:
+            x = Word(hit, len(gens))
             _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
-            return CspResult(x, candidates)
-    return CspResult(None, candidates)
+            return CspResult(x, len(seen[0]) + len(seen[1]))
+    return CspResult(None, len(seen[0]) + len(seen[1]), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +298,11 @@ def attack_dh_dlog(t: Transcript, bound: int) -> AttackReport:
 
 def attack_ko_lee_csp(t: Transcript, bound: int) -> AttackReport:
     w, A, wa, wb = _sandwich_view(t, "w^a", "w^b")
-    expr, candidates = brute_force_csp(w, wa, A, bound)
+    expr, candidates, closed = brute_force_csp(w, wa, A, bound)
     if expr is None:
         return AttackReport("csp", False, work={"candidates": candidates},
-                            notes="no conjugator within bound")
+                            notes="no conjugator exists (orbit closed)" if closed
+                            else "no conjugator within bound")
     key = t.platform.conjugate(wb, eval_word(A, expr))
     return AttackReport("csp", True, recovered_key=key,
                         work={"candidates": candidates})
@@ -313,11 +350,12 @@ def attack_twisted_commutator_probe(t: Transcript, bound: int) -> AttackReport:
     platform = t.platform
     w, _, alice_msg, bob_msg = _sandwich_view(t, "a1*w*b1", "b2*w*a2")
     B = _transcript_subgroup(t, "B")
-    total_candidates = 0
+    total_candidates, closed = 0, True
     for probe in B.gens:
         instance = commutator_probe_decomposition(alice_msg, probe, w)
-        expr, candidates = brute_force_csp(instance.u, instance.v, B, bound)
+        expr, candidates, probe_closed = brute_force_csp(instance.u, instance.v, B, bound)
         total_candidates += candidates
+        closed &= probe_closed
         if expr is None:
             continue
         b_hat = eval_word(B, expr)
@@ -336,7 +374,8 @@ def attack_twisted_commutator_probe(t: Transcript, bound: int) -> AttackReport:
         )
     return AttackReport(
         "commutator-probe", False, work={"candidates": total_candidates},
-        notes="no consistent probe solution within bound",
+        notes="no probe has a conjugator (every orbit closed)" if closed
+        else "no consistent probe solution within bound",
     )
 
 

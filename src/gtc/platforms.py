@@ -497,8 +497,9 @@ class SubgroupExpr:
 # ---------------------------------------------------------------------------
 # bounded search
 
-# every state counted may still be held; at 600-1,000 B each (tracemalloc on a
-# 4x4 block csp search and a free-group correspondence search) this is ~1 GB
+# every state counted may still be held; at 400-1,000 B each (tracemalloc on a
+# 4x4 block csp search, both sides counted, and a free-group correspondence
+# search) this is ~1 GB
 ENUM_GUARD = 1 << 20
 
 

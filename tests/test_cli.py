@@ -325,8 +325,8 @@ def _simulate(tmp_path, capsys, protocol, min_len, max_len):
 
 ATTACK_PINS = {
     ("ko-lee", "csp", 3): "attack: csp\nsuccess: true\n"
-    "recovered-key: 1 1 0 2 0 3 1 0 0 4 0 4 1 3 2 4\nwork-candidates: 29\n",
-    ("ko-lee", "csp", 2): "attack: csp\nsuccess: false\nwork-candidates: 17\n"
+    "recovered-key: 1 1 0 2 0 3 1 0 0 4 0 4 1 3 2 4\nwork-candidates: 22\n",
+    ("ko-lee", "csp", 2): "attack: csp\nsuccess: false\nwork-candidates: 10\n"
     "notes: no conjugator within bound\n",
     ("decomp", "decomp-factor", 2): "attack: decomp-factor\nsuccess: true\n"
     "recovered-key: 0 4 3 0 2 3 2 4 2 2 2 1 3 0 1 2\nwork-candidates: 10\n",

@@ -416,8 +416,10 @@ def _bounded(seconds=1.0, peak_bytes=1_000_000):
 
 
 # Ko-Lee over 4x4 matrices mod 5 with Alice's message replaced by the identity:
-# no conjugator exists, and the orbit of w under <A> has 480 elements
-@pytest.mark.parametrize("bound", [[], ["--bound", "1000000000"]], ids=["default", "1e9"])
+# no conjugator exists, and the identity's own orbit closes at the first letter,
+# so the report is the same at every bound past it (w's orbit has 480 elements)
+@pytest.mark.parametrize("bound", [[], ["--bound", "1000000000"], ["--bound", "10"]],
+                         ids=["default", "1e9", "10"])
 def test_csp_search_ends_when_the_orbit_closes(tmp_path, capsys, bound):
     transcript = tmp_path / "ko-lee.txt"
     assert run(["simulate", "--protocol", "ko-lee", "--seed", 28, "--out", transcript],
@@ -430,8 +432,29 @@ def test_csp_search_ends_when_the_orbit_closes(tmp_path, capsys, bound):
         code, out, _ = run(["attack", "--transcript", transcript, "--method", "csp"] + bound,
                            capsys)
     assert code == 0
-    assert "success: false\n" in out
-    assert "work-candidates: 480\n" in out
+    assert out == ("attack: csp\nsuccess: false\nwork-candidates: 6\n"
+                   "notes: no conjugator exists (orbit closed)\n")
+
+
+# twisted over 4x4 matrices mod 5 with Alice's message replaced by the identity:
+# no probe has a conjugator; at bound 11 only the second probe's orbit has closed
+@pytest.mark.parametrize("bound,notes", [
+    ([], "no probe has a conjugator (every orbit closed)"),
+    (["--bound", "11"], "no consistent probe solution within bound"),
+], ids=["default", "11"])
+def test_commutator_probe_says_when_every_orbit_closed(tmp_path, capsys, bound, notes):
+    transcript = tmp_path / "twisted.txt"
+    assert run(["simulate", "--protocol", "twisted", "--seed", 28, "--out", transcript],
+               capsys)[0] == 0
+    lines = transcript.read_text().splitlines(keepends=True)
+    alice = next(i for i, line in enumerate(lines) if line.startswith("1 Alice a1*w*b1 "))
+    lines[alice] = "1 Alice a1*w*b1 1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\n"
+    transcript.write_text("".join(lines))
+    code, out, _ = run(["attack", "--transcript", transcript, "--method", "commutator-probe"]
+                       + bound, capsys)
+    assert code == 0
+    assert out == ("attack: commutator-probe\nsuccess: false\nwork-candidates: 601\n"
+                   f"notes: {notes}\n")
 
 
 # dh over Z_1009* with g = 1008 = -1 of order 2: g^a = 3 is no power of g, and

@@ -14,13 +14,14 @@ from gtc import platforms
 from gtc.attacks import brute_force_csp, brute_force_dlog, enumerate_subgroup_values
 from gtc.cli import main
 from gtc.errors import BoundError
-from gtc.platforms import (CyclicModP, MatrixModP, PermutationPlatform, bfs_words,
-                           block_commuting_subgroups, eval_word, signed_letters)
+from gtc.platforms import (CyclicModP, MatrixModP, PermutationPlatform, SubgroupGens,
+                           bfs_words, block_commuting_subgroups, eval_word, signed_letters)
 from gtc.problems import kp_decide_bounded, smp_decide_bounded, ssp_decide
 from gtc.words import Word
 
 # tracemalloc peak per state of a 4x4 block csp search that runs into the
-# guard: 605-625 B on 2x2 blocks over Z_17 and Z_19
+# guard, against a matrix outside u's orbit: 416-528 B on 2x2 blocks over Z_17
+# and Z_19
 BYTES_PER_STATE = 700
 
 
@@ -95,12 +96,27 @@ def test_bfs_words_guard_raises_bound_error(monkeypatch):
         list(bfs_words(0, [1, -1], step, 4))
 
 
+def other_trace(u, rng):
+    """A random matrix whose trace differs from u's, so no conjugator exists;
+    unlike the identity, whose orbit closes at once, it lets both sides of a
+    csp search grow."""
+    n, p = u.platform.n, u.platform.p
+
+    def trace(m):
+        return sum(m.payload[i][i] for i in range(n)) % p
+
+    v = u.platform.random_element(rng)
+    while trace(v) == trace(u):
+        v = u.platform.random_element(rng)
+    return v
+
+
 def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys):
     A, _ = block_commuting_subgroups(4, 5, 2, 2, random.Random(99))
     w = A.platform.random_element(random.Random(1))
     monkeypatch.setattr(platforms, "ENUM_GUARD", 20)
     with pytest.raises(BoundError):
-        brute_force_csp(w, A.platform.identity(), A, 3)
+        brute_force_csp(w, other_trace(w, random.Random(2)), A, 3)
     with pytest.raises(BoundError):
         enumerate_subgroup_values(A, 3)
     transcript = tmp_path / "ko-lee.txt"
@@ -114,30 +130,67 @@ def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys
     assert err.startswith("error: enumeration exceeds the guard")
 
 
-def first_hit_scan(u, v, gens, bound):
-    """The first conjugate equal to v in the full BFS (no dedup), and the
-    number of distinct conjugates up to and including it."""
+def conjugate_step(gens):
     mul, table = gens.platform.mul, gens.letter_table
-    distinct = set()
-    for expr, value in bfs_words(u.payload, signed_letters(len(gens)),
-                                 lambda x, l: mul(mul(table[-l], x), table[l]), bound):
-        distinct.add(value)
+    return lambda x, l: mul(mul(table[-l], x), table[l])
+
+
+def first_hit_scan(u, v, gens, bound):
+    """The first conjugate equal to v in the full BFS over x (no dedup)."""
+    for expr, value in bfs_words(u.payload, signed_letters(len(gens)), conjugate_step(gens),
+                                 bound):
         if value == v.payload:
-            return expr, len(distinct)
-    return None, len(distinct)
+            return expr
+    return None
 
 
-@settings(max_examples=60, deadline=None)
+def conjugates_within(x, gens, depth):
+    """The number of distinct x^y over words y of at most ``depth`` letters."""
+    return len({value for _, value in bfs_words(x.payload, signed_letters(len(gens)),
+                                                conjugate_step(gens), depth)})
+
+
+def meeting_states(u, v, gens, bound, expr):
+    """The states both sides of the csp search hold when it ends, and
+    whether it ended because an orbit closed.  At length L the u side holds
+    the conjugates within ceil(L/2) letters and the v side those within
+    floor(L/2); the search ends at the witness's length, at the first length
+    whose deeper side gains nothing, or at the bound."""
+    def held(length):
+        return (conjugates_within(u, gens, (length + 1) // 2)
+                + conjugates_within(v, gens, length // 2))
+
+    end = bound if expr is None else len(expr)
+    for length in range(1, end + 1):
+        side, depth = (u, length // 2 + 1) if length % 2 else (v, length // 2)
+        if conjugates_within(side, gens, depth) == conjugates_within(side, gens, depth - 1):
+            return held(length), True
+    return held(end), False
+
+
+def csp_subgroup(group, count, seed):
+    """``count`` generators of a 4x4 block subgroup mod p, of S_n or of
+    GL(2, p), drawn from ``seed``."""
+    kind, size = group
+    rng = random.Random(seed)
+    if kind == "block":
+        return block_commuting_subgroups(4, size, count, 1, rng)[0]
+    platform = PermutationPlatform(size) if kind == "perm" else MatrixModP(2, size)
+    return SubgroupGens(platform, tuple(platform.random_element(rng) for _ in range(count)))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 3),
-    modulus=st.sampled_from([3, 5]),
-    bound=st.integers(0, 4),
+    group=st.sampled_from([("block", 3), ("block", 5), ("perm", 4), ("perm", 5), ("perm", 6),
+                           ("gl2", 3), ("gl2", 5), ("gl2", 7)]),
+    bound=st.integers(0, 6),
     planted=st.booleans(),
     data=st.data(),
 )
-def test_deduplicated_csp_returns_the_first_witness(seed, count, modulus, bound, planted, data):
-    A, _ = block_commuting_subgroups(4, modulus, count, 1, random.Random(seed))
+def test_deduplicated_csp_returns_the_first_witness(seed, count, group, bound, planted, data):
+    A = csp_subgroup(group, count, seed)
     platform = A.platform
     u = platform.random_element(random.Random(seed + 1))
     if planted:
@@ -145,12 +198,24 @@ def test_deduplicated_csp_returns_the_first_witness(seed, count, modulus, bound,
         v = platform.conjugate(u, eval_word(A, Word(tuple(x), count)))
     else:
         v = platform.random_element(random.Random(seed + 2))
-    expr, candidates = first_hit_scan(u, v, A, bound)
+    expr = first_hit_scan(u, v, A, bound)
     result = brute_force_csp(u, v, A, bound)
     assert (None if result.expr is None else result.expr.letters) == expr
-    assert result.candidates == candidates
+    assert (result.candidates, result.orbit_closed) == meeting_states(u, v, A, bound, expr)
     if planted:
         assert expr is not None
+    if result.orbit_closed:  # a proof: no conjugator at any length
+        assert first_hit_scan(u, v, A, bound + 4) is None
+
+
+def test_csp_keeps_the_least_suffix_of_each_backward_state():
+    # x = (1, 1) followed by (1, 2) or by (-2, 1) conjugates u to v; a v side
+    # built parent then letter would keep (-2, 1) for their shared state
+    s5 = PermutationPlatform(5)
+    A = SubgroupGens(s5, (s5.element((2, 3, 1, 5, 4)), s5.element((2, 3, 5, 4, 1))))
+    u, v = s5.element((4, 3, 5, 2, 1)), s5.element((3, 1, 5, 2, 4))
+    assert first_hit_scan(u, v, A, 6) == (1, 1, 1, 2)
+    assert brute_force_csp(u, v, A, 6).expr.letters == (1, 1, 1, 2)
 
 
 def test_the_guard_bounds_what_a_search_holds(monkeypatch):
@@ -163,7 +228,7 @@ def test_the_guard_bounds_what_a_search_holds(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BoundError):
-            brute_force_csp(u, A.platform.identity(), A, 1000)
+            brute_force_csp(u, other_trace(u, random.Random(2)), A, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,10 +286,12 @@ def test_smp_search_takes_one_product_per_state_and_item():
 def test_csp_search_to_its_bound_takes_two_products_per_step():
     A, _ = block_commuting_subgroups(4, 5, 2, 2, random.Random(99))
     u = A.platform.random_element(random.Random(1))
+    v = other_trace(u, random.Random(2))
     with counted_products(A.platform) as calls:
-        assert brute_force_csp(u, A.platform.identity(), A, 3) == (None, 48)
-    # 4 + 4 * 3 + 12 * 3 steps: no conjugate repeats before the last length
-    assert calls == [2 * (4 + 12 + 36)]
+        assert brute_force_csp(u, v, A, 3) == (None, 22, False)
+    # length 3 meets u's side at depth 2 (4 + 4 * 3 steps) and v's at depth 1
+    # (4 steps): no conjugate repeats, so each side holds 1 + its steps
+    assert calls == [2 * (4 + 12 + 4)]
 
 
 def test_dlog_scan_takes_one_product_per_power():
