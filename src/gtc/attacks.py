@@ -77,7 +77,7 @@ def _next_level(level: dict, seen: set, letters, conj: Callable, prepend: bool,
     least word: appending l conjugates by l, parent then letter, and
     prepending l by l^-1, letter then parent, so both meet words in
     lexicographic order.  Raises BoundError once ``seen`` passes ``room``."""
-    items = list(level.items())
+    items = level.items()
     steps = (((p, l) for l in letters for p in items) if prepend
              else ((p, l) for p in items for l in letters))
     new = {}

@@ -20,7 +20,7 @@ from gtc.problems import kp_decide_bounded, smp_decide_bounded, ssp_decide
 from gtc.words import Word
 
 # tracemalloc peak per state of a 4x4 block csp search that runs into the
-# guard, against a matrix outside u's orbit: 416-528 B on 2x2 blocks over Z_17
+# guard, against a matrix outside u's orbit: 415-520 B on 2x2 blocks over Z_17
 # and Z_19
 BYTES_PER_STATE = 700
 
@@ -204,8 +204,9 @@ def test_deduplicated_csp_returns_the_first_witness(seed, count, group, bound, p
     assert (result.candidates, result.orbit_closed) == meeting_states(u, v, A, bound, expr)
     if planted:
         assert expr is not None
-    if result.orbit_closed:  # a proof: no conjugator at any length
-        assert first_hit_scan(u, v, A, bound + 4) is None
+    if result.orbit_closed:  # a proof: v is nowhere in the whole orbit of u
+        orbit = bfs_words(u.payload, signed_letters(count), conjugate_step(A), 10**9, dedup=True)
+        assert all(value != v.payload for _, value in orbit)
 
 
 def test_csp_keeps_the_least_suffix_of_each_backward_state():
