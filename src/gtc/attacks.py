@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from . import platforms
-from .errors import AttackFailed, BoundError, ParseError
+from .errors import AttackFailed, ParseError
 from .platforms import (Element, Platform, SubgroupGens, enumerate_subgroup_values,
-                        eval_word, meet_in_middle, signed_letters, square_and_multiply)
-from .problems import _check_same_platform, _recheck
+                        eval_word, signed_letters, square_and_multiply)
+from .problems import _check_same_platform, _recheck, quotient_stream, sandwich_search
 from .protocols import Transcript, parse_gens
 from .words import Word
 
@@ -71,60 +70,25 @@ class CspResult(NamedTuple):
     orbit_closed: bool = False  # an orbit closed first: no conjugator at any length
 
 
-def _next_level(level: dict, seen: set, letters, conj: Callable, prepend: bool,
-                room: int) -> dict:
-    """The states one letter past ``level`` that ``seen`` lacks, each with its
-    least word: appending l conjugates by l, parent then letter, and
-    prepending l by l^-1, letter then parent, so both meet words in
-    lexicographic order.  Raises BoundError once ``seen`` passes ``room``."""
-    items = level.items()
-    steps = (((p, l) for l in letters for p in items) if prepend
-             else ((p, l) for p in items for l in letters))
-    new = {}
-    for (state, word), l in steps:
-        if word and word[0 if prepend else -1] == -l:
-            continue
-        child = conj(state, -l if prepend else l)
-        if child not in seen:
-            seen.add(child)
-            if len(seen) > room:
-                raise BoundError(f"enumeration exceeds the guard of {platforms.ENUM_GUARD} states")
-            new[child] = (l,) + word if prepend else word + (l,)
-    return new
-
-
 def brute_force_csp(
     u: Element, v: Element, gens: SubgroupGens, max_len: int
 ) -> CspResult:
-    """The shortlex-first x with u^x = v and |x| <= max_len, met in the
-    middle: x = x1 x2 with u^x1 = v^(x2^-1).  At length L the u side has
-    appended ceil(L/2) letters and the v side prepended floor(L/2); each
-    keeps its seen set and newest level, and the first u-level state the
-    v level holds gives x.  candidates counts the states both sides hold at
-    the end, starts included (ENUM_GUARD bounds them).  A side whose new
-    level is empty has closed its orbit: no conjugator exists at any length,
-    and the search stops with orbit_closed."""
+    """The shortlex-first x with u^x = v and |x| <= max_len, by the orbit
+    search under conjugation: x = x1 x2 with u^x1 = v^(x2^-1), each side at
+    half the depth.  candidates counts the states both sides hold at the
+    end, starts included (ENUM_GUARD bounds them).  When an orbit closes
+    first, no conjugator exists at any length and the search stops with
+    orbit_closed."""
     platform = gens.platform
     _check_same_platform(platform, (u, v))
-    mul, table, letters = platform.mul, gens.letter_table, signed_letters(len(gens))
-
-    def conj(x, l):
-        return mul(mul(table[-l], x), table[l])
-
-    levels, seen, closed = [{u.payload: ()}, {v.payload: ()}], [{u.payload}, {v.payload}], False
-    for length in range(max_len + 1):
-        if length:
-            side = 1 - length % 2  # odd lengths deepen the u side
-            levels[side] = _next_level(levels[side], seen[side], letters, conj, side == 1,
-                                       platforms.ENUM_GUARD - len(seen[1 - side]))
-            if closed := not levels[side]:
-                break
-        hit = next((w + levels[1][s] for s, w in levels[0].items() if s in levels[1]), None)
-        if hit is not None:
-            x = Word(hit, len(gens))
-            _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
-            return CspResult(x, len(seen[0]) + len(seen[1]))
-    return CspResult(None, len(seen[0]) + len(seen[1]), closed)
+    table = gens.letter_table
+    hit, candidates, closed = sandwich_search(u.payload, v.payload, platform.mul, table, table,
+                                              max_len)
+    if hit is None:
+        return CspResult(None, candidates, closed)
+    x = Word(hit, len(gens))
+    _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
+    return CspResult(x, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +147,22 @@ def commutator_probe_factorization(w_prime: Element, b1: Element) -> CspInstance
 commutator_probe_csp = commutator_probe_decomposition
 
 
+def _conjugated(A: SubgroupGens, w: Element) -> SubgroupGens:
+    """A^w: the generators of A, each conjugated by w."""
+    platform = A.platform
+    return SubgroupGens(platform, tuple(platform.conjugate(g, w) for g in A.gens))
+
+
 def uniqueness_check(
     w: Element, target: Element, A: SubgroupGens, bound: int
 ) -> int:
     """Number of distinct element pairs (a1, a2) in <A> (expressions up to
-    ``bound``) with a1 w target-equation a1 * w * a2 = target."""
-    values = enumerate_subgroup_values(A, bound)
-    shifted = ((A.platform.multiply(a1, w), expr) for a1, expr in values.values())
-    return sum(1 for _ in meet_in_middle(shifted, values, target))
+    ``bound``) with a1 * w * a2 = target.  That holds exactly when
+    a2 = (a1^w)^-1 (w^-1 target), so the quotient stream walks <A^w> against
+    the table of <A>."""
+    stream = quotient_stream(decomposition_to_factorization(w, target), _conjugated(A, w),
+                             enumerate_subgroup_values(A, bound), bound)
+    return sum(a2 is not None for _, a2 in stream)
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +293,23 @@ def attack_decomposition_normal(t: Transcript) -> AttackReport:
 
 
 def attack_decomposition_factor(t: Transcript, bound: int) -> AttackReport:
-    """Reduce to factorization over (A^w, A) and solve by double enumeration."""
+    """Reduce to factorization over (A^w, A) and solve by the quotient stream."""
     platform = t.platform
     w, A, alice_msg, bob_msg = _sandwich_view(t, "a1*w*a2", "b1*w*b2")
-    w2 = decomposition_to_factorization(w, alice_msg)
-    multiply, w_inv = platform.multiply, platform.invert(w)
-    conj_gens = SubgroupGens(
-        platform, tuple(multiply(multiply(w_inv, g), w) for g in A.gens)
-    )
-    left = enumerate_subgroup_values(conj_gens, bound)
-    right = enumerate_subgroup_values(A, bound)
-    for examined, (val, _), (a2, _) in meet_in_middle(left.values(), right, w2):
-        a1 = multiply(multiply(w, val), w_inv)
-        if multiply(multiply(a1, w), a2) != alice_msg:
+    stream = quotient_stream(decomposition_to_factorization(w, alice_msg), _conjugated(A, w),
+                             enumerate_subgroup_values(A, bound), bound)
+    examined = 0
+    for examined, (a1_letters, a2_letters) in enumerate(stream, start=1):
+        if a2_letters is None:
+            continue
+        # a1^w has a1's expression over the conjugated generators
+        a1, a2 = (eval_word(A, Word._trusted(x, len(A))) for x in (a1_letters, a2_letters))
+        if platform.multiply(platform.multiply(a1, w), a2) != alice_msg:
             continue
         key = key_from_decomposition_solution(a1, a2, bob_msg)
-        return AttackReport(
-            "decomp-factor", True, recovered_key=key,
-            work={"candidates": examined},
-        )
-    return AttackReport("decomp-factor", False, work={"candidates": len(left)},
+        return AttackReport("decomp-factor", True, recovered_key=key,
+                            work={"candidates": examined})
+    return AttackReport("decomp-factor", False, work={"candidates": examined},
                         notes="no factorization within bound")
 
 

@@ -499,7 +499,8 @@ class SubgroupExpr:
 
 # every state counted may still be held; at 400-1,000 B each (tracemalloc on a
 # 4x4 block csp search, both sides counted, and a free-group correspondence
-# search) this is ~1 GB
+# search) this is ~1 GB.  The orbit search counts both its sides' states,
+# bfs_words what it yields; a knapsack box may hold this many vectors
 ENUM_GUARD = 1 << 20
 
 
@@ -508,19 +509,19 @@ def signed_letters(k: int) -> list[int]:
     return [l for i in range(1, k + 1) for l in (i, -i)]
 
 
-def bfs_words(start, letters, step: Callable, bound: int, dedup: bool = False):
-    """Yield ``(letters, state)`` for every word of length <= bound over
-    ``letters``, breadth-first: by length, then by letter order.
+def bfs_words(start, letters, step: Callable, bound: int):
+    """Yield ``(letters, state)`` for each distinct state within ``bound``
+    letters of ``start``, with its first word, breadth-first: by length, then
+    by letter order.
 
     A child's state is ``step(parent_state, letter)``, and a letter never
     follows its inverse.  Each node is yielded as it is created, so a
-    caller that stops at a hit expands nothing more.  With ``dedup``, a
-    state seen before is neither yielded nor expanded, so each state keeps
-    its first word, and the search ends when a length adds no state.
-    Raises BoundError past ENUM_GUARD states.
+    caller that stops at a hit expands nothing more.  A state seen before is
+    neither yielded nor expanded, so each state keeps its first word, and
+    the search ends when a length adds no state.  Raises BoundError past
+    ENUM_GUARD states.
     """
-    seen = {start} if dedup else None
-    count = 1
+    seen = {start}
     yield (), start
     frontier = [((), start)]
     for _ in range(bound):
@@ -533,12 +534,10 @@ def bfs_words(start, letters, step: Callable, bound: int, dedup: bool = False):
                 if letter == undo:
                     continue
                 child = step(state, letter)
-                if seen is not None:
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                count += 1
-                if count > ENUM_GUARD:
+                if child in seen:
+                    continue
+                seen.add(child)
+                if len(seen) > ENUM_GUARD:
                     raise BoundError(f"enumeration exceeds the guard of {ENUM_GUARD} states")
                 node = (word + (letter,), child)
                 yield node
@@ -548,28 +547,12 @@ def bfs_words(start, letters, step: Callable, bound: int, dedup: bool = False):
 
 def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
     """Distinct subgroup elements reachable by expressions of length
-    <= max_len, in BFS order: {payload: (value, letters)}, where letters
-    is the first (shortest) expression of the value."""
-    platform, mul, table = gens.platform, gens.platform.mul, gens.letter_table
-    return {
-        value: (Element(platform, value), expr)
-        for expr, value in bfs_words(
-            platform.identity().payload, signed_letters(len(gens)),
-            lambda x, l: mul(x, table[l]), max_len, dedup=True,
-        )
-    }
-
-
-def meet_in_middle(left, right: dict, target: Element):
-    """Yield ``(examined, a, b)`` for each entry ``a = (value, expr)`` of
-    ``left``, in order, such that value^-1 target is a key of ``right``
-    (a payload-keyed table like enumerate_subgroup_values returns); ``b``
-    is that entry, and ``examined`` counts the left entries so far."""
-    platform = target.platform
-    for examined, a in enumerate(left, start=1):
-        b = right.get(platform.multiply(platform.invert(a[0]), target).payload)
-        if b is not None:
-            yield examined, a, b
+    <= max_len, in BFS order: {payload: letters}, where letters is the
+    first (shortest) expression of the value."""
+    mul, table = gens.platform.mul, gens.letter_table
+    return {value: expr for expr, value in bfs_words(
+        gens.platform.identity().payload, signed_letters(len(gens)),
+        lambda x, l: mul(x, table[l]), max_len)}
 
 
 # ---------------------------------------------------------------------------

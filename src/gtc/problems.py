@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, product, repeat
-from operator import getitem
-from typing import Optional
+from typing import Callable, Optional
 
+from . import platforms
 from .errors import BoundError, ParseError, RankError
-from .platforms import (ENUM_GUARD, Element, FreePlatform, Platform, SubgroupGens,
-                        bfs_words, enumerate_subgroup_values, eval_word, meet_in_middle,
-                        platform_from_spec, signed_letters)
+from .platforms import (Element, FreePlatform, Platform, SubgroupGens, bfs_words,
+                        enumerate_subgroup_values, eval_word, platform_from_spec,
+                        signed_letters)
 from .protocols import parse_gens
 from .tietze import GenMap, apply_map
 from .words import (Word, empty_word, int_value, invert, multiply, one_field,
@@ -36,44 +35,119 @@ def _check_same_platform(platform: Platform, elements) -> None:
             raise RankError("elements do not share the platform")
 
 
+# ---------------------------------------------------------------------------
+# the search kernels, then the deciders that run on them
+
+def orbit_search(start, goal, letters, step: Callable, back: Callable,
+                 bound: int) -> tuple[Optional[tuple], int, bool]:
+    """(x, states, closed): x is the shortlex-first word over ``letters``
+    with start.x = goal and |x| <= bound, or None, for a right action
+    step(s, l) = s.l by bijections with back(step(s, l), l) = s.  Met in the
+    middle, x = x1 x2 with start.x1 = goal.x2^-1: at length L the start side
+    has appended ceil(L/2) letters, parent then letter, and the goal side
+    prepended floor(L/2) by back, letter then parent, so both meet words in
+    lexicographic order, and each keeps a new state's least word (every
+    prefix and suffix of the least x is least for its state).  ``states``
+    counts what both sides hold, starts included, against ENUM_GUARD;
+    ``closed`` says an orbit closed without meeting the other side, so no x
+    exists at any length."""
+    levels, seen, closed = [{start: ()}, {goal: ()}], [{start}, {goal}], False
+    for length in range(bound + 1):
+        if length:
+            side = 1 - length % 2  # odd lengths deepen the start side
+            items, held, new = levels[side].items(), seen[side], {}
+            act, room = back if side else step, platforms.ENUM_GUARD - len(seen[1 - side])
+            pairs = (((p, l) for l in letters for p in items) if side
+                     else ((p, l) for p in items for l in letters))
+            for (state, word), l in pairs:
+                if word and word[0 if side else -1] == -l:
+                    continue
+                child = act(state, l)
+                if child not in held:
+                    held.add(child)
+                    if len(held) > room:
+                        raise BoundError(
+                            f"enumeration exceeds the guard of {platforms.ENUM_GUARD} states")
+                    new[child] = (l,) + word if side else word + (l,)
+            levels[side] = new
+            if closed := not new:
+                break
+        hit = next((w + levels[1][s] for s, w in levels[0].items() if s in levels[1]), None)
+        if hit is not None:
+            return hit, len(seen[0]) + len(seen[1]), False
+    return None, len(seen[0]) + len(seen[1]), closed
+
+
+def sandwich_search(start, goal, mul: Callable, lefts: dict, rights: dict, bound: int):
+    """orbit_search under x.l = lefts[-l] x rights[l], where lefts[-l] and
+    rights[-l] invert lefts[l] and rights[l]; the letters are the keys of
+    ``rights``, in order."""
+    return orbit_search(start, goal, list(rights), lambda x, l: mul(mul(lefts[-l], x), rights[l]),
+                        lambda x, l: mul(mul(lefts[l], x), rights[-l]), bound)
+
+
+def _power_levels(start, factors, exp_bound: int, times: Callable) -> dict:
+    """{value: first vector e in [0, exp_bound]^len(factors)}, in
+    lexicographic order, where value is start times factors[i] e_i times for
+    each i in turn.  A level keeps only a value's first prefix: a later one
+    extends to the same values, later."""
+    level = {start: ()}
+    for factor in factors:
+        new = {}
+        for value, vector in level.items():
+            new.setdefault(value, vector + (0,))
+            for e in range(1, exp_bound + 1):
+                value = times(value, factor)
+                new.setdefault(value, vector + (e,))
+        level = new
+    return level
+
+
+def box_search(platform: Platform, items: list[Element], target: Element, exp_bound: int,
+               problem: str) -> Optional[tuple[int, ...]]:
+    """The lexicographically first e in [0, exp_bound]^k with ordered power
+    product items[0]^e_0 ... items[k-1]^e_(k-1) = target, re-checked, met in
+    the middle at h = k // 2: the right half's products P_R are tabulated,
+    and the first of the left half's P_L^-1 target in the table, joined to
+    its entry, is the witness."""
+    h, mul = len(items) // 2, platform.mul
+    table = _power_levels(platform.identity().payload, [x.payload for x in items[h:]],
+                          exp_bound, mul)
+    left = _power_levels(target.payload, [platform.invert(x).payload for x in items[:h]],
+                         exp_bound, lambda value, factor: mul(factor, value))
+    witness = next((e + table[value] for value, e in left.items() if value in table), None)
+    if witness is not None:
+        _recheck(_ordered_power_product(platform, items, witness) == target, problem)
+    return witness
+
+
+def quotient_stream(w: Element, A: SubgroupGens, table: dict, bound: int):
+    """Yield ``(letters, table.get(a^-1 w))`` for each distinct a in <A>
+    within ``bound`` letters, in enumerate_subgroup_values' order, stepping
+    a^-1 w itself by each letter's inverse on the left: one product a step."""
+    mul, inverse = A.platform.mul, A.letter_table
+    for letters, value in bfs_words(w.payload, signed_letters(len(A)),
+                                    lambda s, l: mul(inverse[-l], s), bound):
+        yield letters, table.get(value)
+
+
 def ssp_decide(
     platform: Platform, items: list[Element], target: Element
 ) -> Optional[tuple[int, ...]]:
     """Exact subset-sum decision: ordered product with 0/1 exponents.
 
-    Exhaustive over all 2^k selections (k <= 24) by depth-first search
-    with shared prefix products (one multiplication per branch); returns
-    the lexicographically first witness with 0 preferred over 1.
+    Exhaustive over all 2^k selections (k <= 24) by the box search; returns
+    the lexicographically first witness, 0 preferred over 1.
     """
     _check_same_platform(platform, items + [target])
-    k = len(items)
-    if k > 24:
-        raise BoundError(f"k={k} exceeds the exhaustive-scan guard")
-    mul, values, t = platform.mul, [item.payload for item in items], target.payload
-
-    def search(i: int, acc) -> Optional[tuple[int, ...]]:
-        if i == k:
-            return () if acc == t else None
-        skip = search(i + 1, acc)
-        if skip is not None:
-            return (0,) + skip
-        take = search(i + 1, mul(acc, values[i]))
-        if take is not None:
-            return (1,) + take
-        return None
-
-    witness = search(0, platform.identity().payload)
-    if witness is not None:
-        _recheck(_ordered_power_product(platform, items, witness) == target, "ssp")
-    return witness
+    if len(items) > 24:
+        raise BoundError(f"k={len(items)} exceeds the exhaustive-scan guard")
+    return box_search(platform, items, target, 1, "ssp")
 
 
 def _ordered_power_product(platform, items, exponents) -> Element:
-    value = platform.identity()
-    for item, e in zip(items, exponents):
-        for _ in range(e):
-            value = platform.multiply(value, item)
-    return value
+    return reduce(platform.multiply, (x for x, e in zip(items, exponents) for _ in range(e)),
+                  platform.identity())
 
 
 def kp_decide_bounded(
@@ -85,44 +159,29 @@ def kp_decide_bounded(
     inside the exponent box (the search is bounded, not a full decision).
     """
     _check_same_platform(platform, items + [target])
-    k = len(items)
-    if (exp_bound + 1) ** k > ENUM_GUARD:
+    if (exp_bound + 1) ** len(items) > platforms.ENUM_GUARD:
         raise BoundError("exponent box exceeds the enumeration guard")
-    mul, one, t = platform.mul, platform.identity().payload, target.payload
-    # powers[i][e] = items[i]^e, each one product from the last
-    powers = [list(accumulate(repeat(item.payload, exp_bound), mul, initial=one)) for item in items]
-    for vector in product(range(exp_bound + 1), repeat=k):
-        if reduce(mul, map(getitem, powers, vector), one) == t:
-            _recheck(_ordered_power_product(platform, items, vector) == target, "kp")
-            return vector
-    return None
+    return box_search(platform, items, target, exp_bound, "kp")
 
 
 def smp_decide_bounded(
     platform: Platform, items: list[Element], target: Element, len_bound: int
 ) -> Optional[tuple[int, ...]]:
-    """Submonoid membership by BFS over products, deduplicated by normal
-    form; witness is a tuple of item indices (possibly empty)."""
+    """Submonoid membership: the shortlex-first product of items that is
+    target, by the orbit search from the identity (step x -> x item, back
+    x -> x item^-1); the witness is a tuple of item indices (possibly empty)."""
     _check_same_platform(platform, items + [target])
     mul, values = platform.mul, [item.payload for item in items]
-    for seq, value in bfs_words(
-        platform.identity().payload, range(1, len(items) + 1),
-        lambda x, l: mul(x, values[l - 1]), len_bound, dedup=True,
-    ):
-        if value == target.payload:
-            witness = tuple(l - 1 for l in seq)
-            check = reduce(platform.multiply, (items[j] for j in witness), platform.identity())
-            _recheck(check == target, "smp")
-            return witness
-    return None
-
-
-def _pair_step(images: dict):
-    """BFS step for a pair of words: multiply each by its image of the letter."""
-    def step(state: tuple[Word, Word], letter: int) -> tuple[Word, Word]:
-        x, y = images[letter]
-        return multiply(state[0], x), multiply(state[1], y)
-    return step
+    inverses = [platform.invert(item).payload for item in items]
+    seq, _, _ = orbit_search(platform.identity().payload, target.payload,
+                             range(1, len(items) + 1), lambda x, l: mul(x, values[l - 1]),
+                             lambda x, l: mul(x, inverses[l - 1]), len_bound)
+    if seq is None:
+        return None
+    witness = tuple(l - 1 for l in seq)
+    _recheck(reduce(platform.multiply, (items[j] for j in witness), platform.identity())
+             == target, "smp")
+    return witness
 
 
 def gpcp_bounded_search(
@@ -135,7 +194,8 @@ def gpcp_bounded_search(
     """Bounded non-homogeneous correspondence search in the free group:
     find a term t with a t(u) = b t(v).  Terms are words in the k
     variables and their inverses; evaluation substitutes the tuples and
-    reduces freely."""
+    reduces freely.  a t(u) = b t(v) exactly when t(v)^-1 (b^-1 a) t(u) = e,
+    so the sandwich search runs from b^-1 a to e with x.l = v_l^-1 x u_l."""
     if len(u) != len(v):
         raise RankError("tuples u and v must have the same length")
     k = len(u)
@@ -144,20 +204,16 @@ def gpcp_bounded_search(
         if wd.rank != rank:
             raise RankError("all words must share one alphabet")
 
-    letters = signed_letters(k)
-    subs = {
-        l: (u[l - 1], v[l - 1]) if l > 0 else (invert(u[-l - 1]), invert(v[-l - 1]))
-        for l in letters
-    }
-
-    # the state is (a t(u), b t(v)), extended one letter at a time
-    for term, (atu, btv) in bfs_words((a, b), letters, _pair_step(subs), term_len_bound):
-        if atu == btv:
-            t = Word._trusted(term, k)  # re-evaluate t(u) and t(v) from scratch
-            _recheck(multiply(a, apply_map(GenMap(k, rank, tuple(u)), t))
-                     == multiply(b, apply_map(GenMap(k, rank, tuple(v)), t)), "gpcp")
-            return Word(term, max(k, 1))
-    return None
+    us = {l: u[l - 1] if l > 0 else invert(u[-l - 1]) for l in signed_letters(k)}
+    vs = {l: v[l - 1] if l > 0 else invert(v[-l - 1]) for l in signed_letters(k)}
+    term, _, _ = sandwich_search(multiply(invert(b), a), empty_word(rank), multiply, vs, us,
+                                 term_len_bound)
+    if term is None:
+        return None
+    t = Word._trusted(term, k)  # re-evaluate t(u) and t(v) from scratch
+    _recheck(multiply(a, apply_map(GenMap(k, rank, tuple(u)), t))
+             == multiply(b, apply_map(GenMap(k, rank, tuple(v)), t)), "gpcp")
+    return Word(term, max(k, 1))
 
 
 def twisted_conjugacy_bounded(
@@ -167,46 +223,38 @@ def twisted_conjugacy_bounded(
     psi: GenMap,
     len_bound: int,
 ) -> Optional[Word]:
-    """Bounded search for w with u phi(w) = psi(w) v on a free platform."""
+    """Bounded search for w with u phi(w) = psi(w) v on a free platform:
+    that holds exactly when psi(w)^-1 u phi(w) = v, so the sandwich search
+    runs from u to v with x.l = psi(l)^-1 x phi(l)."""
     if u.platform.kind != "free" or v.platform != u.platform:
         raise RankError("twisted conjugacy search runs on one free platform")
     rank = u.platform.rank
     if phi.from_gens != rank or psi.from_gens != rank:
         raise RankError("endomorphisms must act on the platform alphabet")
     uw, vw = u.payload, v.payload
-    letters = signed_letters(rank)
-    images = {}
-    for l in letters:
-        g = Word._trusted((l,), rank)
-        images[l] = apply_map(phi, g), apply_map(psi, g)
-
-    # the state is (u phi(w), psi(w)), extended one letter at a time
-    start = (uw, empty_word(rank))
-    for letters_w, (u_phi_w, psi_w) in bfs_words(start, letters, _pair_step(images), len_bound):
-        if u_phi_w == multiply(psi_w, vw):
-            w = Word(letters_w, rank)
-            _recheck(
-                multiply(uw, apply_map(phi, w)) == multiply(apply_map(psi, w), vw),
-                "twisted",
-            )
-            return w
-    return None
+    phis = {l: apply_map(phi, Word._trusted((l,), rank)) for l in signed_letters(rank)}
+    psis = {l: apply_map(psi, Word._trusted((l,), rank)) for l in signed_letters(rank)}
+    found, _, _ = sandwich_search(uw, vw, multiply, psis, phis, len_bound)
+    if found is None:
+        return None
+    w = Word(found, rank)
+    _recheck(multiply(uw, apply_map(phi, w)) == multiply(apply_map(psi, w), vw), "twisted")
+    return w
 
 
 def factorization_decide_bounded(
     w: Element, A: SubgroupGens, B: SubgroupGens, len_bound: int
 ) -> Optional[tuple[Word, Word]]:
-    """Meet-in-the-middle search for w = a b with a in <A>, b in <B>,
-    both as expressions of length <= len_bound."""
+    """Search for w = a b with a in <A>, b in <B>, both as expressions of
+    length <= len_bound: <B> is tabulated once, and the quotient stream
+    walks the distinct a^-1 w until one is in the table."""
     platform = w.platform
     _check_same_platform(platform, list(A.gens) + list(B.gens) + [w])
-    b_values = enumerate_subgroup_values(B, len_bound)
-    a_values = enumerate_subgroup_values(A, len_bound)
-    hit = next(meet_in_middle(a_values.values(), b_values, w), None)
+    stream = quotient_stream(w, A, enumerate_subgroup_values(B, len_bound), len_bound)
+    hit = next(((a, b) for a, b in stream if b is not None), None)
     if hit is None:
         return None
-    _, (_, a_letters), (_, b_letters) = hit
-    a_expr, b_expr = Word(a_letters, len(A)), Word(b_letters, len(B))
+    a_expr, b_expr = Word(hit[0], len(A)), Word(hit[1], len(B))
     _recheck(platform.multiply(eval_word(A, a_expr), eval_word(B, b_expr)) == w, "factor")
     return a_expr, b_expr
 

@@ -402,6 +402,11 @@ def _bounded(seconds=1.0, peak_bytes=1_000_000):
     def expire(*_):  # pytest.fail, because cli.main turns an OSError into exit 2
         pytest.fail(f"still running after {seconds} s")
 
+    # compile the layers a command imports on demand before the measured
+    # block, so that its peak does not depend on which test ran first
+    import gtc.attacks  # noqa: F401
+    import gtc.problems  # noqa: F401
+
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     tracemalloc.start()
@@ -471,6 +476,41 @@ def test_dlog_scan_ends_when_the_powers_of_g_cycle(tmp_path, capsys):
     assert code == 0
     assert out.endswith("success: false\nwork-multiplications: 2\n"
                         "notes: g^a is not a power of g (cycle closed at 2)\n"), out
+
+
+def _unitriangular(rng):
+    """A random upper unitriangular 4x4 matrix mod 5, as instance text."""
+    return " ".join(str(1 if i == j else rng.randrange(5) if i < j else 0)
+                    for i in range(4) for j in range(4))
+
+
+def _box_instance(problem, count, bound):
+    # the items' products are all unitriangular and the target is not
+    rng = random.Random(count)
+    return "\n".join([f"problem: {problem}", "platform: matrix 4 5"]
+                     + [f"elem: {_unitriangular(rng)}" for _ in range(count)]
+                     + ["target: 1 0 0 0 1 1 0 0 0 0 1 0 0 0 0 1"] + bound) + "\n"
+
+
+# instances of under 1 KB whose declared work ran for seconds: the ssp scan took
+# 44 s over 2^24 selections and the kp box 48 s over 2^20 vectors; the gpcp
+# search walked every term to the guard, 15 s and 800 MB, then exited 2,
+# although with v = u the orbit of e is {e} and no term can exist
+@pytest.mark.parametrize("problem,text,seconds,peak_bytes,report", [
+    ("ssp", _box_instance("ssp", 24, []), 2.0, 16_000_000, "witness: absent\n"),
+    ("kp", _box_instance("kp", 20, ["bound: 1"]), 1.0, 4_000_000, "witness: absent\n"),
+    ("gpcp", "problem: gpcp\nrank: 2\nu: 1\nu: 2\nv: 1\nv: 2\na: 1\nb: 2\nbound: 1000\n",
+     0.5, 1_000_000, "term: absent\n"),
+], ids=["ssp-24-items", "kp-20-items", "gpcp-v-equals-u"])
+def test_declared_work_of_a_search_stays_small(tmp_path, capsys, problem, text, seconds,
+                                               peak_bytes, report):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    argv = ["solve", problem, "--instance"]
+    run(argv + [tmp_path / "missing"], capsys)  # build the parser, import the layers
+    with _bounded(seconds, peak_bytes):
+        code, out, _ = run(argv + [path], capsys)
+    assert (code, out) == (0, report)
 
 
 DH_RECORDS = "1 Alice g^a 5\n2 Bob g^b 7\n"

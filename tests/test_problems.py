@@ -214,6 +214,14 @@ def test_gpcp_unsolvable_within_bound():
     assert gpcp_bounded_search(u, v, a, b, 4) is None
 
 
+def test_gpcp_compares_a_and_b_in_the_free_group():
+    # a = x1 x1^-1 is the identity although its letters are not reduced, so
+    # the empty term solves a t(u) = b t(v) with b = e; with u = (x1) and
+    # v = (x2) nothing else does
+    u, v = [Word((1,), 2)], [Word((2,), 2)]
+    assert gpcp_bounded_search(u, v, Word((1, -1), 2), empty_word(2), 3) == empty_word(1)
+
+
 # --- twisted conjugacy -----------------------------------------------------------
 
 def test_gpcp_witness_is_rechecked(monkeypatch):
@@ -363,8 +371,8 @@ def test_factorization_matches_naive_double_enumeration():
     A, B = block_commuting_subgroups(4, 5, 1, 1, rng)
     platform = A.platform
     bound = 3
-    a_values = [v for v, _ in enumerate_subgroup_values(A, bound).values()]
-    b_values = [v for v, _ in enumerate_subgroup_values(B, bound).values()]
+    a_values = [platform.element(v) for v in enumerate_subgroup_values(A, bound)]
+    b_values = [platform.element(v) for v in enumerate_subgroup_values(B, bound)]
     for trial in range(40):
         trng = substream(22, trial)
         if trng.random() < 0.5:
