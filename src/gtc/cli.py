@@ -11,13 +11,14 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-# Only the modules the parser and the shared helpers need are imported
-# here; each command imports the layers it runs, so a process pays only
-# for the subcommand it was given.
+# Only the modules the argument reader and the shared helpers need are
+# imported here; each command imports the layers it runs, and argparse is
+# imported only for help and usage errors, so a process pays only for the
+# subcommand it was given.
 from .errors import GtcError, ParseError, SetupError
 from .rng import stream
 from .words import Word, int_value, one_field, parse_word, read_fields, serialize_word
@@ -452,81 +453,109 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+# the flags wp-encrypt and hom share, in their order
+_FILE_FLAGS = [("--pub", {}), ("--priv", {}), ("--ct", {}), ("--out", {}),
+               ("--out-pub", {}), ("--out-priv", {}), ("--seed", {"type": int})]
+
+# each command's help line, its arguments as (flag, add_argument kwargs) in
+# help order, and its function
+_COMMANDS = {
+    "simulate": ("run a seeded protocol session", [
+        ("--protocol", {"required": True, "choices": list(_PROTOCOL_PLATFORMS)}),
+        ("--platform", {"choices": ["matrix", "direct", "free", "cyclic"]}),
+        ("--p", {"type": int}), ("--g", {"type": int}), ("--n", {"type": int}),
+        ("--rank", {"type": int}),
+        ("--min-len", {"type": int, "default": 8}),
+        ("--max-len", {"type": int, "default": 16}),
+        ("--seed", {"type": int}), ("--out", {})], cmd_simulate),
+    "attack": ("run an attack against a transcript file", [
+        ("--transcript", {"required": True}),
+        ("--method", {"required": True, "choices": _ATTACK_METHODS}),
+        ("--bound", {"type": int, "default": 1000}), ("--out", {})], cmd_attack),
+    "paper-examples": ("replay the worked examples against the embedded golden values",
+                       [], cmd_paper_examples),
+    "montecarlo": ("trick-and-treat trial statistics", [
+        ("--trials", {"type": int, "required": True}),
+        ("--min-len", {"type": int, "default": 16}),
+        ("--max-len", {"type": int, "default": 24}),
+        ("--seed", {"type": int}), ("--out", {})], cmd_montecarlo),
+    "wp-encrypt": ("word-problem bit encryption", [
+        ("action", {"choices": ["keygen", "encrypt", "decrypt", "attack"]}),
+        ("--rank", {"type": int, "default": 2}),
+        ("--chain-len", {"type": int, "default": 6}),
+        ("--bit", {"type": int, "choices": [0, 1], "default": 1}),
+        ("--min-len", {"type": int, "default": 16}),
+        ("--max-len", {"type": int, "default": 24}), *_FILE_FLAGS], cmd_wp_encrypt),
+    "hom": ("homomorphic encryption over presentations", [
+        ("action", {"choices": ["keygen", "encrypt", "decrypt"]}),
+        ("--group", {"choices": ["demo", "a5"], "default": "demo"}),
+        ("--chain-len", {"type": int, "default": 8}),
+        ("--discard", {"type": int, "default": 1}),
+        ("--word", {"default": "1,2"}),
+        ("--steps", {"type": int, "default": 4}), *_FILE_FLAGS], cmd_hom),
+    "solve": ("bounded deciders", [
+        ("problem", {"choices": _SOLVE_PROBLEMS}),
+        ("--instance", {"required": True}),
+        ("--bound", {"type": int})], cmd_solve),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: it prints the help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="gtc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run a seeded protocol session")
-    sim.add_argument("--protocol", required=True, choices=list(_PROTOCOL_PLATFORMS))
-    sim.add_argument("--platform", choices=["matrix", "direct", "free", "cyclic"],
-                     default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--g", type=int, default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--rank", type=int, default=None)
-    sim.add_argument("--min-len", type=int, default=8)
-    sim.add_argument("--max-len", type=int, default=16)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", default=None)
-    sim.set_defaults(func=cmd_simulate)
-
-    atk = sub.add_parser("attack", help="run an attack against a transcript file")
-    atk.add_argument("--transcript", required=True)
-    atk.add_argument("--method", required=True, choices=_ATTACK_METHODS)
-    atk.add_argument("--bound", type=int, default=1000)
-    atk.add_argument("--out", default=None)
-    atk.set_defaults(func=cmd_attack)
-
-    pe = sub.add_parser("paper-examples", help="replay the worked examples "
-                        "against the embedded golden values")
-    pe.set_defaults(func=cmd_paper_examples)
-
-    mc = sub.add_parser("montecarlo", help="trick-and-treat trial statistics")
-    mc.add_argument("--trials", type=int, required=True)
-    mc.add_argument("--min-len", type=int, default=16)
-    mc.add_argument("--max-len", type=int, default=24)
-    mc.add_argument("--seed", type=int, default=None)
-    mc.add_argument("--out", default=None)
-    mc.set_defaults(func=cmd_montecarlo)
-
-    wp = sub.add_parser("wp-encrypt", help="word-problem bit encryption")
-    wp.add_argument("action", choices=["keygen", "encrypt", "decrypt", "attack"])
-    wp.add_argument("--rank", type=int, default=2)
-    wp.add_argument("--chain-len", type=int, default=6)
-    wp.add_argument("--bit", type=int, choices=[0, 1], default=1)
-    wp.add_argument("--min-len", type=int, default=16)
-    wp.add_argument("--max-len", type=int, default=24)
-    wp.add_argument("--pub", default=None)
-    wp.add_argument("--priv", default=None)
-    wp.add_argument("--ct", default=None)
-    wp.add_argument("--out", default=None)
-    wp.add_argument("--out-pub", default=None)
-    wp.add_argument("--out-priv", default=None)
-    wp.add_argument("--seed", type=int, default=None)
-    wp.set_defaults(func=cmd_wp_encrypt)
-
-    hom = sub.add_parser("hom", help="homomorphic encryption over presentations")
-    hom.add_argument("action", choices=["keygen", "encrypt", "decrypt"])
-    hom.add_argument("--group", choices=["demo", "a5"], default="demo")
-    hom.add_argument("--chain-len", type=int, default=8)
-    hom.add_argument("--discard", type=int, default=1)
-    hom.add_argument("--word", default="1,2")
-    hom.add_argument("--steps", type=int, default=4)
-    hom.add_argument("--pub", default=None)
-    hom.add_argument("--priv", default=None)
-    hom.add_argument("--ct", default=None)
-    hom.add_argument("--out", default=None)
-    hom.add_argument("--out-pub", default=None)
-    hom.add_argument("--out-priv", default=None)
-    hom.add_argument("--seed", type=int, default=None)
-    hom.set_defaults(func=cmd_hom)
-
-    solve = sub.add_parser("solve", help="bounded deciders")
-    solve.add_argument("problem", choices=_SOLVE_PROBLEMS)
-    solve.add_argument("--instance", required=True)
-    solve.add_argument("--bound", type=int, default=None)
-    solve.set_defaults(func=cmd_solve)
+    for name, (help_line, rows, func) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for flag, kwargs in rows:
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=func)
     return parser
+
+
+def _lookups(name: str, rows: list, func) -> tuple:
+    """A command's flags and positionals as {token: (dest, kwargs)} and
+    [(dest, kwargs)], its required dests, and its namespace defaults."""
+    dests = [(flag.lstrip("-").replace("-", "_"), kwargs) for flag, kwargs in rows]
+    return ({flag: d for (flag, _), d in zip(rows, dests) if flag[0] == "-"},
+            [d for (flag, _), d in zip(rows, dests) if flag[0] != "-"],
+            {dest for dest, kwargs in dests if kwargs.get("required")},
+            {"command": name, "func": func} | {d: kw.get("default") for d, kw in dests})
+
+
+_READER = {name: _lookups(name, rows, func) for name, (_, rows, func) in _COMMANDS.items()}
+
+
+def _read_argv(argv):
+    """The namespace argparse gives ``argv``, or None where argparse must
+    speak or read a form this does not: help, a usage error, '--',
+    '--flag=value', an abbreviation, or a value starting with '-' other than
+    a negative integer."""
+    if not argv or argv[0] not in _READER:
+        return None
+    flags, positionals, required, defaults = _READER[argv[0]]
+    values, rest, missing = dict(defaults), list(positionals), set(required)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in flags:
+            dest, kwargs = flags[token]
+            token = next(tokens, "-")  # a flag with no value is a usage error
+        elif rest:
+            dest, kwargs = rest.pop(0)
+        else:
+            return None
+        if token[:1] == "-" and not token[1:].isdecimal():
+            return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+        missing.discard(dest)
+    return None if rest or missing else SimpleNamespace(**values)
 
 
 # the least value of each size and count flag; a smaller one is a usage error
@@ -541,14 +570,9 @@ def _check_least(args) -> None:
             raise ParseError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
-_parser = None  # built on the first call to main, then reused
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         _check_least(args)
         return args.func(args)

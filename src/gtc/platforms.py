@@ -269,7 +269,8 @@ class MatrixModP(Platform):
             raise SetupError("matrix size must be positive")
 
     def element(self, rows) -> Element:
-        m = tuple(tuple(v % self.p for v in row) for row in rows)
+        p = self.p
+        m = tuple([tuple([v % p for v in row]) for row in rows])
         if len(m) != self.n or any(len(r) != self.n for r in m):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
         if not is_invertible(m, self.p):
@@ -318,11 +319,10 @@ class MatrixModP(Platform):
 
     def parse_element(self, text: str) -> Element:
         try:
-            vals = [int(t) for t in text.split()]
-            if len(vals) != self.n * self.n:
-                raise ParseError(f"expected {self.n * self.n} entries, got {len(vals)}")
-            rows = [vals[i * self.n:(i + 1) * self.n] for i in range(self.n)]
-            return self.element(rows)
+            vals, size = [int(t) for t in text.split()], self.n * self.n
+            if len(vals) != size:
+                raise ParseError(f"expected {size} entries, got {len(vals)}")
+            return self.element([vals[i:i + self.n] for i in range(0, size, self.n)])
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
@@ -395,8 +395,10 @@ class DirectFreePlatform(Platform):
         )
 
 
-_PLATFORM_KINDS = {cls.kind: cls for cls in (FreePlatform, CyclicModP, PermutationPlatform,
-                                              MatrixModP, DirectFreePlatform)}
+# each kind's class and its number of parameters
+_PLATFORM_KINDS = {cls.kind: (cls, sum(f.init for f in fields(cls)))
+                   for cls in (FreePlatform, CyclicModP, PermutationPlatform, MatrixModP,
+                               DirectFreePlatform)}
 
 
 def platform_from_spec(text: str) -> Platform:
@@ -404,8 +406,7 @@ def platform_from_spec(text: str) -> Platform:
     kind, *params = text.split() or [""]
     if kind not in _PLATFORM_KINDS:
         raise ParseError(f"unknown platform kind {kind!r}")
-    cls = _PLATFORM_KINDS[kind]
-    arity = sum(f.init for f in fields(cls))
+    cls, arity = _PLATFORM_KINDS[kind]
     if len(params) != arity:
         raise ParseError(f"bad platform spec {text!r}: {kind} takes {arity} parameter(s)")
     try:

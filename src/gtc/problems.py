@@ -298,17 +298,19 @@ def parse_instance(text: str) -> ProblemInstance:
     Any other key, a missing key, or a second line of a key outside
     _LIST_KEYS is a ParseError."""
     [fields] = read_fields(text, comments=True)
-    for key, value in fields:
-        if not key:
-            raise ParseError(f"bad instance line {value!r}")
-    problem = one_field(fields, "problem")
+    groups: dict = {}  # key -> its fields, keys in order of first appearance
+    for field in fields:
+        if not field[0]:
+            raise ParseError(f"bad instance line {field[1]!r}")
+        groups.setdefault(field[0], []).append(field)
+    problem = one_field(groups.get("problem", ()), "problem")
     if problem not in PROBLEM_KEYS:
         raise ParseError(f"unknown problem {problem!r}")
     keys = PROBLEM_KEYS[problem]
-    for key, _ in fields:
+    for key in groups:
         if key not in keys + ("problem", "bound"):
             raise ParseError(f"unknown instance key {key!r}")
-    once = {key: one_field(fields, key, optional=True)
+    once = {key: one_field(groups.get(key, ()), key, optional=True)
             for key in keys + ("bound",) if key not in _LIST_KEYS}
     bound = None if once["bound"] is None else int_value("bound", once["bound"], lo=0)
     values = {key: [] for key in keys if key in _LIST_KEYS}

@@ -1,9 +1,13 @@
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtc import attacks, cli, problems, protocols
 from gtc.cli import main
@@ -377,6 +381,14 @@ SOLVE_PINS = [
     # zero items: the empty witness prints as e, as smp's empty product does
     ("kp", ["platform: free 1", "target: e", "bound: 1"], "witness: e\n"),
     ("ssp", ["platform: free 1", "target: e"], "witness: e\n"),
+    # each witness ends in the least of two suffixes that reach one backward
+    # state; an orbit_search goal side built parent then letter keeps the other
+    ("smp", ["platform: perm 4", "elem: 2 1 4 3", "elem: 4 3 1 2", "elem: 2 3 4 1",
+             "target: 3 1 4 2", "bound: 4"], "witness: 2,3,1,2\n"),
+    ("gpcp", ["rank: 2", "u: -1", "u: -1", "v: e", "v: -2", "a: 2,1", "b: 2,-1,-2",
+              "bound: 4"], "term: 1,1,1,-2\n"),
+    ("twisted", ["rank: 2", "source: -1", "target: 2,2", "phi: 2;e", "psi: e;-2,1",
+                 "bound: 4"], "witness: 1,1,1,-2\n"),
 ]
 
 
@@ -604,13 +616,20 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
-def test_commands_import_only_the_layers_they_run():
-    proc = _fresh_gtc(["simulate", "--protocol", "dh"], "-X", "importtime")
-    assert proc.returncode == 0
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert imported.isdisjoint({f"gtc.{name}" for name in (
-        "attacks", "problems", "homenc", "wordenc", "tietze", "rewriting")}), imported
+def test_commands_import_only_the_layers_they_run(tmp_path):
+    instance = tmp_path / "i.txt"
+    instance.write_text("\n".join(["problem: gpcp"] + SOLVE_PINS[2][1]) + "\n")
+    for argv in (["simulate", "--protocol", "dh"], ["solve", "gpcp", "--instance", str(instance)],
+                 ["solve", "--help"]):
+        proc = _fresh_gtc(argv, "-X", "importtime")
+        assert proc.returncode == 0, argv
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        # argparse prints help and usage errors; the table reader serves valid commands
+        assert ("argparse" in imported) == (argv[-1] == "--help"), argv
+        if argv[0] == "simulate":
+            assert imported.isdisjoint({f"gtc.{name}" for name in (
+                "attacks", "problems", "homenc", "wordenc", "tietze", "rewriting")}), imported
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gtc.cli; print(' '.join(sorted(sys.modules)))"],
@@ -623,3 +642,68 @@ def test_parser_name_tables_match_the_layers():
     assert tuple(cli._PROTOCOL_PLATFORMS) == protocols.PROTOCOLS
     assert list(cli._ATTACK_METHODS) == sorted(attacks.ATTACK_DRIVERS)
     assert cli._SOLVE_PROBLEMS == tuple(problems.PROBLEM_KEYS)
+
+
+# --- the table reader against argparse ---------------------------------------
+
+INT_TOKENS = ["0", "3", "-2", "+4", " 5 ", "1_0", "007", "-0", "2.5", "x", "", "\u0663", "-\u0663",
+              "\u00b2", "-5\n"]
+TEXT_TOKENS = ["f.txt", "1,2", "a b", "-f", "-", "-1", "--"]
+HOSTILE_TOKENS = ["-h", "--help", "--", "-", "--nope", "-x", "x", "-1.5", "--bound=3",
+                  "--instance=i.txt", "--inst", "--out-p", "--s"]
+
+
+@st.composite
+def argvs(draw):
+    """Argv of one command: some of its flags and positionals with good or
+    bad values, in any order, some repeated, plus hostile tokens."""
+    name = draw(st.sampled_from(list(cli._COMMANDS) + ["nope"]))
+    rows = cli._COMMANDS[name][1] if name in cli._COMMANDS else []
+    groups, clean = [], draw(st.booleans())
+    for flag, kwargs in rows:
+        good = [str(c) for c in kwargs.get("choices", ())] or (
+            ["1", "2", "12"] if kwargs.get("type") is int else ["f.txt", "1,2"])
+        bad = INT_TOKENS if kwargs.get("type") is int else TEXT_TOKENS
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2] if kwargs.get("required")
+                                            or flag[0] != "-" else [0, 0, 1, 2]))):
+            value = draw(st.sampled_from(good if clean else good + bad + ["bad"]))
+            groups.append([value] if flag[0] != "-" else [flag, value])
+    groups = draw(st.permutations(groups))
+    argv = [name] + [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(argv)))
+        argv.insert(at, draw(st.sampled_from(HOSTILE_TOKENS + INT_TOKENS)))
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+_PARSER = cli.build_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=argvs())
+def test_read_argv_gives_the_namespace_argparse_gives(argv):
+    got = cli._read_argv(argv)
+    if got is not None:
+        assert vars(got) == vars(_PARSER.parse_args(argv))
+
+
+def _documented_argvs():
+    """The commands of README's CLI block, and those the CI smoke step runs
+    as statements (the forms argparse still reads run inside a comparison)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    with open(os.path.join(root, ".github", "workflows", "tests.yml")) as fh:
+        smoke = fh.read().split("name: CLI smoke test", 1)[1].split("- name:", 1)[0]
+    lines = re.findall(r"^gtc (.*)$", readme, re.M)
+    lines += re.findall(r"^\s*(?:timeout \d+ )?python -m gtc ([^>\n]*)", smoke, re.M)
+    return [shlex.split(line) for line in lines]
+
+
+def test_the_reader_serves_every_documented_command():
+    argvs = _documented_argvs()
+    assert len(argvs) >= 25
+    for argv in argvs:
+        assert cli._read_argv(argv) is not None, argv
