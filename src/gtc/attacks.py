@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import AttackFailed, ParseError
-from .platforms import (Element, Platform, SubgroupGens, enumerate_subgroup_values,
-                        eval_word, signed_letters, square_and_multiply)
-from .problems import _check_same_platform, _recheck, quotient_stream, sandwich_search
+from .platforms import Element, Platform, SubgroupGens, eval_word, square_and_multiply
+from .problems import (_check_same_platform, _recheck, brute_force_dlog,
+                       enumerate_subgroup_values, quotient_stream, sandwich_search,
+                       signed_letters)
 from .protocols import Transcript, parse_gens
 from .words import Word
 
@@ -42,27 +43,6 @@ def format_attack_report(report: AttackReport, platform: Platform) -> str:
 
 # ---------------------------------------------------------------------------
 # brute force
-
-class DlogResult(NamedTuple):
-    exponent: Optional[int]
-    multiplications: int
-    cycle_closed: bool = False  # g^n came back to 1 first: target is no power of g
-
-
-def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int) -> DlogResult:
-    """Scan g^n for n = 1..bound, or until g^n = 1; work counter is the
-    number of products."""
-    _check_same_platform(platform, (g, target))
-    mul, x, t = platform.mul, g.payload, target.payload
-    acc = one = platform.identity().payload
-    for n in range(1, bound + 1):
-        acc = mul(acc, x)
-        if acc == t:
-            return DlogResult(n, n)
-        if acc == one:
-            return DlogResult(None, n, True)
-    return DlogResult(None, bound)
-
 
 class CspResult(NamedTuple):
     expr: Optional[Word]

@@ -57,7 +57,7 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-# in protocols.PROTOCOLS order: the keys are the --protocol choices
+# the keys are the --protocol choices, in help order
 _PROTOCOL_PLATFORMS = {
     "dh": {"cyclic"},
     "elgamal": {"cyclic"},

@@ -34,7 +34,7 @@ from .tietze import (
     break_relators,
     discard_relators,
     presentation,
-    random_move,
+    random_chain,
 )
 from .words import Word, random_word
 
@@ -88,13 +88,11 @@ def hom_keygen(
     """Private chain = relator breaking (to length 3) plus ``chain_len``
     random moves; then ``discard_count`` random relators are withheld."""
     check_faithful_images(G, faithful)
-    builder = ChainBuilder(G)
+    chain = TietzeChain(G, (), G, ())
     if chain_len > 0:
-        for move in break_relators(G, 3).moves:
-            builder.apply(move)
-        for _ in range(chain_len):
-            builder.apply(random_move(builder.current, rng))
-    chain = builder.chain()
+        broken = break_relators(G, 3)
+        tail = random_chain(broken.end, chain_len, rng)
+        chain = TietzeChain(G, broken.moves + tail.moves, tail.end, broken.steps + tail.steps)
     H = chain.end
     if discard_count >= len(H.relators) and discard_count > 0:
         raise KeygenError("cannot discard that many relators")

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import Callable, Optional
 
-from .errors import BoundError, ParseError, RankError, SamplingError, SetupError
+from .errors import ParseError, RankError, SamplingError, SetupError
 from .linalg import centralizer_basis, is_invertible, mat_identity, mat_inv, mat_mul_mod
 from .words import (Word, empty_word, free_reduce, invert, multiply, parse_word,
                     random_reduced_word, serialize_word)
@@ -493,67 +493,6 @@ class SubgroupExpr:
     @property
     def value(self) -> Element:
         return eval_word(self.gens, self.expr)
-
-
-# ---------------------------------------------------------------------------
-# bounded search
-
-# every state counted may still be held; at 400-1,000 B each (tracemalloc on a
-# 4x4 block csp search, both sides counted, and a free-group correspondence
-# search) this is ~1 GB.  The orbit search counts both its sides' states,
-# bfs_words what it yields; a knapsack box may hold this many vectors
-ENUM_GUARD = 1 << 20
-
-
-def signed_letters(k: int) -> list[int]:
-    """Letter order of expression enumeration: 1, -1, 2, -2, ..., k, -k."""
-    return [l for i in range(1, k + 1) for l in (i, -i)]
-
-
-def bfs_words(start, letters, step: Callable, bound: int):
-    """Yield ``(letters, state)`` for each distinct state within ``bound``
-    letters of ``start``, with its first word, breadth-first: by length, then
-    by letter order.
-
-    A child's state is ``step(parent_state, letter)``, and a letter never
-    follows its inverse.  Each node is yielded as it is created, so a
-    caller that stops at a hit expands nothing more.  A state seen before is
-    neither yielded nor expanded, so each state keeps its first word, and
-    the search ends when a length adds no state.  Raises BoundError past
-    ENUM_GUARD states.
-    """
-    seen = {start}
-    yield (), start
-    frontier = [((), start)]
-    for _ in range(bound):
-        if not frontier:
-            break
-        created = []
-        for word, state in frontier:
-            undo = -word[-1] if word else 0
-            for letter in letters:
-                if letter == undo:
-                    continue
-                child = step(state, letter)
-                if child in seen:
-                    continue
-                seen.add(child)
-                if len(seen) > ENUM_GUARD:
-                    raise BoundError(f"enumeration exceeds the guard of {ENUM_GUARD} states")
-                node = (word + (letter,), child)
-                yield node
-                created.append(node)
-        frontier = created
-
-
-def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
-    """Distinct subgroup elements reachable by expressions of length
-    <= max_len, in BFS order: {payload: letters}, where letters is the
-    first (shortest) expression of the value."""
-    mul, table = gens.platform.mul, gens.letter_table
-    return {value: expr for expr, value in bfs_words(
-        gens.platform.identity().payload, signed_letters(len(gens)),
-        lambda x, l: mul(x, table[l]), max_len)}
 
 
 # ---------------------------------------------------------------------------

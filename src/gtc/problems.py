@@ -1,22 +1,21 @@
 """Brute-force and bounded deciders for the algorithmic problems, and
 the instance files and report of ``gtc solve``.
 
-Everything here is explicitly bounded or exhaustive at small sizes; the
-guard caps enumeration at 2^20 states.  Every returned witness is
-re-evaluated against the target before it leaves the function.
+Everything here is explicitly bounded or exhaustive at small sizes, and
+every search kernel checks the one guard, ENUM_GUARD states.  Every
+returned witness is re-evaluated against the target before it leaves the
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import platforms
 from .errors import BoundError, ParseError, RankError
-from .platforms import (Element, FreePlatform, Platform, SubgroupGens, bfs_words,
-                        enumerate_subgroup_values, eval_word, platform_from_spec,
-                        signed_letters)
+from .platforms import (Element, FreePlatform, Platform, SubgroupGens, eval_word,
+                        platform_from_spec)
 from .protocols import parse_gens
 from .tietze import GenMap, apply_map
 from .words import (Word, empty_word, int_value, invert, multiply, one_field,
@@ -36,7 +35,70 @@ def _check_same_platform(platform: Platform, elements) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the search kernels, then the deciders that run on them
+# the guard, the search kernels, then the deciders that run on them
+
+# every state counted may still be held; at 400-1,000 B each (tracemalloc on a
+# 4x4 block csp search, both sides counted, and a free-group correspondence
+# search) this is ~1 GB.  The orbit search counts both its sides' states,
+# bfs_words what it yields, the box search both its tables, the dlog scan its
+# powers
+ENUM_GUARD = 1 << 20
+
+
+def check_guard(states: int) -> None:
+    """The one guard of every search: BoundError past ENUM_GUARD states."""
+    if states > ENUM_GUARD:
+        raise BoundError(f"enumeration exceeds the guard of {ENUM_GUARD} states")
+
+
+def signed_letters(k: int) -> list[int]:
+    """Letter order of expression enumeration: 1, -1, 2, -2, ..., k, -k."""
+    return [l for i in range(1, k + 1) for l in (i, -i)]
+
+
+def bfs_words(start, letters, step: Callable, bound: int):
+    """Yield ``(letters, state)`` for each distinct state within ``bound``
+    letters of ``start``, with its first word, breadth-first: by length, then
+    by letter order.
+
+    A child's state is ``step(parent_state, letter)``, and a letter never
+    follows its inverse.  Each node is yielded as it is created, so a
+    caller that stops at a hit expands nothing more.  A state seen before is
+    neither yielded nor expanded, so each state keeps its first word, and
+    the search ends when a length adds no state.
+    """
+    seen = {start}
+    yield (), start
+    frontier = [((), start)]
+    for _ in range(bound):
+        if not frontier:
+            break
+        created = []
+        for word, state in frontier:
+            undo = -word[-1] if word else 0
+            for letter in letters:
+                if letter == undo:
+                    continue
+                child = step(state, letter)
+                if child in seen:
+                    continue
+                seen.add(child)
+                check_guard(len(seen))
+                node = (word + (letter,), child)
+                yield node
+                created.append(node)
+        frontier = created
+
+
+def enumerate_subgroup_values(gens: SubgroupGens, max_len: int) -> dict:
+    """Distinct subgroup elements reachable by expressions of length
+    <= max_len, in BFS order: {payload: letters}, where letters is the
+    first (shortest) expression of the value."""
+    mul, table = gens.platform.mul, gens.letter_table
+    return {value: expr for expr, value in bfs_words(
+        gens.platform.identity().payload, signed_letters(len(gens)),
+        lambda x, l: mul(x, table[l]), max_len)}
+
 
 def orbit_search(start, goal, letters, step: Callable, back: Callable,
                  bound: int) -> tuple[Optional[tuple], int, bool]:
@@ -48,7 +110,7 @@ def orbit_search(start, goal, letters, step: Callable, back: Callable,
     prepended floor(L/2) by back, letter then parent, so both meet words in
     lexicographic order, and each keeps a new state's least word (every
     prefix and suffix of the least x is least for its state).  ``states``
-    counts what both sides hold, starts included, against ENUM_GUARD;
+    counts what both sides hold, starts included, against the guard;
     ``closed`` says an orbit closed without meeting the other side, so no x
     exists at any length."""
     levels, seen, closed = [{start: ()}, {goal: ()}], [{start}, {goal}], False
@@ -56,7 +118,7 @@ def orbit_search(start, goal, letters, step: Callable, back: Callable,
         if length:
             side = 1 - length % 2  # odd lengths deepen the start side
             items, held, new = levels[side].items(), seen[side], {}
-            act, room = back if side else step, platforms.ENUM_GUARD - len(seen[1 - side])
+            act, other = back if side else step, len(seen[1 - side])
             pairs = (((p, l) for l in letters for p in items) if side
                      else ((p, l) for p in items for l in letters))
             for (state, word), l in pairs:
@@ -65,9 +127,7 @@ def orbit_search(start, goal, letters, step: Callable, back: Callable,
                 child = act(state, l)
                 if child not in held:
                     held.add(child)
-                    if len(held) > room:
-                        raise BoundError(
-                            f"enumeration exceeds the guard of {platforms.ENUM_GUARD} states")
+                    check_guard(len(held) + other)
                     new[child] = (l,) + word if side else word + (l,)
             levels[side] = new
             if closed := not new:
@@ -109,8 +169,12 @@ def box_search(platform: Platform, items: list[Element], target: Element, exp_bo
     product items[0]^e_0 ... items[k-1]^e_(k-1) = target, re-checked, met in
     the middle at h = k // 2: the right half's products P_R are tabulated,
     and the first of the left half's P_L^-1 target in the table, joined to
-    its entry, is the witness."""
-    h, mul = len(items) // 2, platform.mul
+    its entry, is the witness.  The two tables, of up to (exp_bound+1)^h and
+    (exp_bound+1)^(k-h) values, are checked against the guard before either
+    is built; the base is capped at the guard, past which it overflows the
+    guard all the same, so a huge exp_bound costs no huge power."""
+    h, mul, base = len(items) // 2, platform.mul, min(exp_bound, ENUM_GUARD) + 1
+    check_guard(base ** h + base ** (len(items) - h))
     table = _power_levels(platform.identity().payload, [x.payload for x in items[h:]],
                           exp_bound, mul)
     left = _power_levels(target.payload, [platform.invert(x).payload for x in items[:h]],
@@ -119,6 +183,28 @@ def box_search(platform: Platform, items: list[Element], target: Element, exp_bo
     if witness is not None:
         _recheck(_ordered_power_product(platform, items, witness) == target, problem)
     return witness
+
+
+class DlogResult(NamedTuple):
+    exponent: Optional[int]
+    multiplications: int
+    cycle_closed: bool = False  # g^n came back to 1 first: target is no power of g
+
+
+def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int) -> DlogResult:
+    """Scan g^n for n = 1..bound, or until g^n = 1; work counter is the
+    number of products.  The guard stops the scan after ENUM_GUARD powers."""
+    _check_same_platform(platform, (g, target))
+    mul, x, t = platform.mul, g.payload, target.payload
+    acc = one = platform.identity().payload
+    for n in range(1, min(bound, ENUM_GUARD) + 1):
+        acc = mul(acc, x)
+        if acc == t:
+            return DlogResult(n, n)
+        if acc == one:
+            return DlogResult(None, n, True)
+    check_guard(bound)
+    return DlogResult(None, bound)
 
 
 def quotient_stream(w: Element, A: SubgroupGens, table: dict, bound: int):
@@ -136,12 +222,11 @@ def ssp_decide(
 ) -> Optional[tuple[int, ...]]:
     """Exact subset-sum decision: ordered product with 0/1 exponents.
 
-    Exhaustive over all 2^k selections (k <= 24) by the box search; returns
+    Exhaustive over all 2^k selections by the box search, whose two tables
+    of 2^(k//2) and 2^(k-k//2) values the guard admits up to k = 38; returns
     the lexicographically first witness, 0 preferred over 1.
     """
     _check_same_platform(platform, items + [target])
-    if len(items) > 24:
-        raise BoundError(f"k={len(items)} exceeds the exhaustive-scan guard")
     return box_search(platform, items, target, 1, "ssp")
 
 
@@ -159,8 +244,6 @@ def kp_decide_bounded(
     inside the exponent box (the search is bounded, not a full decision).
     """
     _check_same_platform(platform, items + [target])
-    if (exp_bound + 1) ** len(items) > platforms.ENUM_GUARD:
-        raise BoundError("exponent box exceeds the enumeration guard")
     return box_search(platform, items, target, exp_bound, "kp")
 
 

@@ -29,20 +29,6 @@ from .platforms import (
 )
 from .words import Word, int_value, random_reduced_word, read_fields
 
-PROTOCOLS = (
-    "dh",
-    "elgamal",
-    "ko-lee",
-    "aag",
-    "decomp",
-    "twisted",
-    "centralizer",
-    "commutative",
-    "factor",
-    "semidirect",
-)
-
-
 # ---------------------------------------------------------------------------
 # transcripts
 

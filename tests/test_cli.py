@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtc import attacks, cli, problems, protocols
+from gtc import attacks, cli, problems
 from gtc.cli import main
 
 
@@ -639,7 +639,6 @@ def test_commands_import_only_the_layers_they_run(tmp_path):
 
 
 def test_parser_name_tables_match_the_layers():
-    assert tuple(cli._PROTOCOL_PLATFORMS) == protocols.PROTOCOLS
     assert list(cli._ATTACK_METHODS) == sorted(attacks.ATTACK_DRIVERS)
     assert cli._SOLVE_PROBLEMS == tuple(problems.PROBLEM_KEYS)
 

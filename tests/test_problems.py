@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -82,10 +83,14 @@ def test_ssp_rejects_reordered_product():
 
 
 def test_ssp_bound_guard():
+    # the box search's tables hold 2^(k//2) + 2^(k-k//2) values: 2^20 at
+    # k = 38, so k = 39 is the first that the guard refuses
     fp = FreePlatform(1)
-    items = [fp.element(power_word(1))] * 25
+    x = fp.element(power_word(1))
+    assert ssp_decide(fp, [x] * 25, fp.identity()) == (0,) * 25
+    assert ssp_decide(fp, [x] * 38, fp.element(power_word(38))) == (1,) * 38
     with pytest.raises(BoundError):
-        ssp_decide(fp, items, fp.identity())
+        ssp_decide(fp, [x] * 39, fp.identity())
 
 
 # --- kp ------------------------------------------------------------------------
@@ -124,6 +129,14 @@ def test_kp_guard():
     items = [fp.element(power_word(1))] * 9
     with pytest.raises(BoundError):
         kp_decide_bounded(fp, items, fp.identity(), 30)
+    # one item: the tables hold 1 and E + 1 values, past the guard at E = 2^20 - 1
+    with pytest.raises(BoundError):
+        kp_decide_bounded(fp, items[:1], fp.identity(), (1 << 20) - 1)
+    # a 4,000-digit bound over 2,000 items: (E+1)^1000 alone would take seconds
+    start = time.process_time()
+    with pytest.raises(BoundError):
+        kp_decide_bounded(fp, items[:1] * 2000, fp.identity(), 10**4000)
+    assert time.process_time() - start < 0.5
 
 
 # --- smp -----------------------------------------------------------------------

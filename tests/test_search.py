@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtc import platforms, problems
+from gtc import problems
 from gtc.attacks import (attack_decomposition_factor, brute_force_csp, brute_force_dlog,
                          enumerate_subgroup_values, uniqueness_check)
 from gtc.cli import main
 from gtc.errors import BoundError
 from gtc.platforms import (CyclicModP, FreePlatform, MatrixModP, PermutationPlatform,
-                           SubgroupGens, bfs_words, block_commuting_subgroups, eval_word,
-                           signed_letters)
-from gtc.problems import (factorization_decide_bounded, gpcp_bounded_search,
-                          kp_decide_bounded, smp_decide_bounded, ssp_decide,
+                           SubgroupGens, block_commuting_subgroups, eval_word)
+from gtc.problems import (bfs_words, factorization_decide_bounded, gpcp_bounded_search,
+                          kp_decide_bounded, signed_letters, smp_decide_bounded, ssp_decide,
                           twisted_conjugacy_bounded)
 from gtc.protocols import decomposition_exchange, parse_transcript, serialize_transcript
 from gtc.tietze import GenMap, apply_map
@@ -110,14 +109,14 @@ def test_bfs_words_guard_raises_bound_error(monkeypatch):
     def step(state, letter):
         return state + letter
 
-    monkeypatch.setattr(platforms, "ENUM_GUARD", 9)
+    monkeypatch.setattr(problems, "ENUM_GUARD", 9)
     # -4..4 within four letters of 0 over {1, -1}: 9 states
     assert len(list(bfs_words(0, [1, -1], step, 4))) == 9
     # only new states count: |s + l| keeps 0, 1, 2, 3, 4
     assert len(list(bfs_words(0, [1, -1], lambda s, l: abs(s + l), 4))) == 5
     with pytest.raises(BoundError):
         list(bfs_words(0, [1, -1], step, 20))
-    monkeypatch.setattr(platforms, "ENUM_GUARD", 8)
+    monkeypatch.setattr(problems, "ENUM_GUARD", 8)
     with pytest.raises(BoundError):
         list(bfs_words(0, [1, -1], step, 4))
 
@@ -140,7 +139,7 @@ def other_trace(u, rng):
 def test_searches_raise_bound_error_past_the_guard(monkeypatch, tmp_path, capsys):
     A, _ = block_commuting_subgroups(4, 5, 2, 2, random.Random(99))
     w = A.platform.random_element(random.Random(1))
-    monkeypatch.setattr(platforms, "ENUM_GUARD", 20)
+    monkeypatch.setattr(problems, "ENUM_GUARD", 20)
     with pytest.raises(BoundError):
         brute_force_csp(w, other_trace(w, random.Random(2)), A, 3)
     with pytest.raises(BoundError):
@@ -249,9 +248,9 @@ def test_csp_keeps_the_least_suffix_of_each_backward_state():
 
 
 def test_the_guard_bounds_what_a_search_holds(monkeypatch):
-    assert platforms.ENUM_GUARD * BYTES_PER_STATE <= 1 << 30
+    assert problems.ENUM_GUARD * BYTES_PER_STATE <= 1 << 30
     guard = 5000
-    monkeypatch.setattr(platforms, "ENUM_GUARD", guard)
+    monkeypatch.setattr(problems, "ENUM_GUARD", guard)
     # 2x2 blocks over Z_17: u has tens of thousands of distinct conjugates
     A, _ = block_commuting_subgroups(4, 17, 2, 2, random.Random(5))
     u = A.platform.random_element(random.Random(1))
