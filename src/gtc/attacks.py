@@ -14,9 +14,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import AttackFailed, ParseError
 from .platforms import Element, Platform, SubgroupGens, eval_word, square_and_multiply
-from .problems import (_check_same_platform, _recheck, brute_force_dlog,
-                       enumerate_subgroup_values, quotient_stream, sandwich_search,
-                       signed_letters)
+from .problems import (brute_force_csp, brute_force_dlog, enumerate_subgroup_values,
+                       quotient_stream, signed_letters)
 from .protocols import Transcript, parse_gens
 from .words import Word
 
@@ -39,36 +38,6 @@ def format_attack_report(report: AttackReport, platform: Platform) -> str:
     if report.notes:
         lines.append(f"notes: {report.notes}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# brute force
-
-class CspResult(NamedTuple):
-    expr: Optional[Word]
-    candidates: int
-    orbit_closed: bool = False  # an orbit closed first: no conjugator at any length
-
-
-def brute_force_csp(
-    u: Element, v: Element, gens: SubgroupGens, max_len: int
-) -> CspResult:
-    """The shortlex-first x with u^x = v and |x| <= max_len, by the orbit
-    search under conjugation: x = x1 x2 with u^x1 = v^(x2^-1), each side at
-    half the depth.  candidates counts the states both sides hold at the
-    end, starts included (ENUM_GUARD bounds them).  When an orbit closes
-    first, no conjugator exists at any length and the search stops with
-    orbit_closed."""
-    platform = gens.platform
-    _check_same_platform(platform, (u, v))
-    table = gens.letter_table
-    hit, candidates, closed = sandwich_search(u.payload, v.payload, platform.mul, table, table,
-                                              max_len)
-    if hit is None:
-        return CspResult(None, candidates, closed)
-    x = Word(hit, len(gens))
-    _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
-    return CspResult(x, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +96,22 @@ def commutator_probe_factorization(w_prime: Element, b1: Element) -> CspInstance
 commutator_probe_csp = commutator_probe_decomposition
 
 
-def _conjugated(A: SubgroupGens, w: Element) -> SubgroupGens:
-    """A^w: the generators of A, each conjugated by w."""
+def _decomposition_stream(w: Element, target: Element, A: SubgroupGens, bound: int):
+    """The quotient stream of a1 w a2 = target over <A>: a1 w a2 = target
+    exactly when a2 = (a1^w)^-1 (w^-1 target), so it walks <A^w> (the
+    generators of A, each conjugated by w) against the table of <A>."""
     platform = A.platform
-    return SubgroupGens(platform, tuple(platform.conjugate(g, w) for g in A.gens))
+    conjugated = SubgroupGens(platform, tuple(platform.conjugate(g, w) for g in A.gens))
+    return quotient_stream(decomposition_to_factorization(w, target), conjugated,
+                           enumerate_subgroup_values(A, bound), bound)
 
 
 def uniqueness_check(
     w: Element, target: Element, A: SubgroupGens, bound: int
 ) -> int:
     """Number of distinct element pairs (a1, a2) in <A> (expressions up to
-    ``bound``) with a1 * w * a2 = target.  That holds exactly when
-    a2 = (a1^w)^-1 (w^-1 target), so the quotient stream walks <A^w> against
-    the table of <A>."""
-    stream = quotient_stream(decomposition_to_factorization(w, target), _conjugated(A, w),
-                             enumerate_subgroup_values(A, bound), bound)
-    return sum(a2 is not None for _, a2 in stream)
+    ``bound``) with a1 * w * a2 = target."""
+    return sum(a2 is not None for _, a2 in _decomposition_stream(w, target, A, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +145,11 @@ def length_based_attack(
     current = list(observed)
     base = list(B.gens)
     peeled: list[int] = []
-    iters = 0
-    while current != base and iters < max_iters:
+
+    def failed(notes: str) -> AttackReport:
+        return AttackReport("length-based", False, work={"iterations": len(peeled)}, notes=notes)
+
+    while current != base and len(peeled) < max_iters:
         cur_total = sum(_element_length(c) for c in current)
         best = None
         best_total = cur_total
@@ -187,32 +159,22 @@ def length_based_attack(
             if total < best_total:
                 best, best_total = (letter, trial), total
         if best is None:
-            return AttackReport(
-                "length-based", False, work={"iterations": iters},
-                notes="no generator decreases the length",
-            )
+            return failed("no generator decreases the length")
         peeled.append(best[0])
         current = best[1]
-        iters += 1
     if current != base:
-        return AttackReport(
-            "length-based", False, work={"iterations": iters},
-            notes="iteration budget exhausted",
-        )
+        return failed("iteration budget exhausted")
     expr = Word(tuple(reversed(peeled)), max(len(A), 1))
     x_val = eval_word(A, expr)
     for bj, obs in zip(B.gens, observed):
         if platform.conjugate(bj, x_val) != obs:
-            return AttackReport(
-                "length-based", False, work={"iterations": iters},
-                notes="descent ended in an inconsistent state",
-            )
+            return failed("descent ended in an inconsistent state")
     key = None
     if a_conj:
         x_y = eval_word(SubgroupGens(platform, tuple(a_conj)), expr)
         key = platform.multiply(platform.invert(x_val), x_y)
     return AttackReport(
-        "length-based", True, recovered_key=key, work={"iterations": iters},
+        "length-based", True, recovered_key=key, work={"iterations": len(peeled)},
         notes="recovered an expression consistent with every conjugate",
     )
 
@@ -276,10 +238,9 @@ def attack_decomposition_factor(t: Transcript, bound: int) -> AttackReport:
     """Reduce to factorization over (A^w, A) and solve by the quotient stream."""
     platform = t.platform
     w, A, alice_msg, bob_msg = _sandwich_view(t, "a1*w*a2", "b1*w*b2")
-    stream = quotient_stream(decomposition_to_factorization(w, alice_msg), _conjugated(A, w),
-                             enumerate_subgroup_values(A, bound), bound)
     examined = 0
-    for examined, (a1_letters, a2_letters) in enumerate(stream, start=1):
+    for examined, (a1_letters, a2_letters) in enumerate(
+            _decomposition_stream(w, alice_msg, A, bound), start=1):
         if a2_letters is None:
             continue
         # a1^w has a1's expression over the conjugated generators

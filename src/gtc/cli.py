@@ -271,7 +271,10 @@ def _parse_trick_private(text: str) -> wordenc.TrickTreatPrivate:
             raise ParseError(f"side {idx} cannot be {kind!r} at trivial-index {trivial_index}")
         pres = [f for f in block[1:] if f[0] not in ("kind", "move")]
         moves = [f for f in block if f[0] == "move"]
-        chain = tietze.replay_moves(tietze.presentation_from_fields(pres, len(text)), moves)
+        start = tietze.presentation_from_fields(pres, len(text))
+        if start != wordenc.seed_presentation(kind, start.n_gens):
+            raise ParseError(f"side {idx} does not start on the {kind} seed")
+        chain = tietze.replay_moves(start, moves)
         sides.append(wordenc.DisguisedGroup(chain.end, chain, kind))
     return wordenc.TrickTreatPrivate(trivial_index, (sides[0], sides[1]))
 
@@ -393,13 +396,15 @@ def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc
     g, moves, discarded = _sections(text, ("G", "chain", "discarded"))
     G = tietze.presentation_from_fields(g, len(text))
     chain = tietze.replay_moves(G, moves)
-    if G != public.G or chain.end.n_gens != public.H_hat.n_gens:
-        raise ParseError("private key does not match the public key")
     if [key for key, _ in discarded] != ["indices"]:
         raise ParseError("[discarded] must hold one 'indices:' line")
     raw = discarded[0][1]
     last = len(chain.end.relators) - 1
     indices = frozenset(int_value("indices", v, 0, last) for v in raw.split() if raw != "-")
+    # an equal phi has the same target alphabet, so H-hat is matched whole
+    kept = tuple(r for i, r in enumerate(chain.end.relators) if i not in indices)
+    if G != public.G or chain.phi != public.phi or kept != public.H_hat.relators:
+        raise ParseError("private key does not match the public key")
     private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain.end, chain, indices)
     return homenc.HomomorphicKeyPair(public, private)
 

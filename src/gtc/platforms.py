@@ -88,11 +88,17 @@ class Platform:
     parameters, and implements identity(), mul(x, y), the product of two
     payloads, multiply(a, b) = Element(self, mul(a.payload, b.payload)),
     invert(a), generators(), element(...) (validated construction),
-    random_element(rng), serialize_element(e) and parse_element(text), the
-    inverse of serialize_element that raises ParseError.
+    random_element(rng), serialize_element(e) and _parse(text), its inverse,
+    which parse_element wraps so that every error is a ParseError.
     """
 
     kind: str = "abstract"
+
+    def parse_element(self, text: str) -> Element:
+        try:
+            return self._parse(text)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     def conjugate(self, w: Element, x: Element) -> Element:
         """w^x = x^-1 w x."""
@@ -140,7 +146,7 @@ class FreePlatform(Platform):
     def serialize_element(self, e: Element) -> str:
         return serialize_word(e.payload)
 
-    def parse_element(self, text: str) -> Element:
+    def _parse(self, text: str) -> Element:
         return self.element(parse_word(text, self.rank))
 
     def random_element(self, rng: random.Random) -> Element:
@@ -192,11 +198,8 @@ class CyclicModP(Platform):
     def serialize_element(self, e: Element) -> str:
         return str(e.payload)
 
-    def parse_element(self, text: str) -> Element:
-        try:
-            return self.element(int(text.strip()))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    def _parse(self, text: str) -> Element:
+        return self.element(int(text.strip()))
 
     def random_element(self, rng: random.Random) -> Element:
         return Element(self, pow(self.g, rng.randrange(self.order_of_g), self.p))
@@ -243,16 +246,18 @@ class PermutationPlatform(Platform):
     def serialize_element(self, e: Element) -> str:
         return " ".join(str(i) for i in e.payload)
 
-    def parse_element(self, text: str) -> Element:
-        try:
-            return self.element(int(t) for t in text.split())
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    def _parse(self, text: str) -> Element:
+        return self.element(int(t) for t in text.split())
 
     def random_element(self, rng: random.Random) -> Element:
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
         return Element(self, tuple(images))
+
+
+def _identity_with(n: int, entries: dict) -> tuple:
+    """The n x n identity matrix with entries[(i, j)] in row i, column j."""
+    return tuple(tuple(entries.get((i, j), int(i == j)) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -294,18 +299,10 @@ class MatrixModP(Platform):
         return Element(self, inv)
 
     def generators(self) -> list[Element]:
-        gens = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    m = [list(row) for row in mat_identity(self.n)]
-                    m[i][j] = 1
-                    gens.append(Element(self, tuple(tuple(r) for r in m)))
-        root = self._primitive_root()
-        diag = [list(row) for row in mat_identity(self.n)]
-        diag[0][0] = root
-        gens.append(Element(self, tuple(tuple(r) for r in diag)))
-        return gens
+        n = self.n
+        patches = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+        patches.append({(0, 0): self._primitive_root()})
+        return [Element(self, _identity_with(n, patch)) for patch in patches]
 
     def _primitive_root(self) -> int:
         factors = _prime_factors(self.p - 1)
@@ -317,14 +314,11 @@ class MatrixModP(Platform):
     def serialize_element(self, e: Element) -> str:
         return " ".join(str(v) for row in e.payload for v in row)
 
-    def parse_element(self, text: str) -> Element:
-        try:
-            vals, size = [int(t) for t in text.split()], self.n * self.n
-            if len(vals) != size:
-                raise ParseError(f"expected {size} entries, got {len(vals)}")
-            return self.element([vals[i:i + self.n] for i in range(0, size, self.n)])
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    def _parse(self, text: str) -> Element:
+        vals, size = [int(t) for t in text.split()], self.n * self.n
+        if len(vals) != size:
+            raise ParseError(f"expected {size} entries, got {len(vals)}")
+        return self.element([vals[i:i + self.n] for i in range(0, size, self.n)])
 
     def random_element(self, rng: random.Random) -> Element:
         for _ in range(SAMPLE_TRIES):
@@ -377,7 +371,7 @@ class DirectFreePlatform(Platform):
     def serialize_element(self, e: Element) -> str:
         return f"{serialize_word(e.payload[0])}|{serialize_word(e.payload[1])}"
 
-    def parse_element(self, text: str) -> Element:
+    def _parse(self, text: str) -> Element:
         parts = text.split("|")
         if len(parts) != 2:
             raise ParseError("direct-product element needs exactly one '|'")
@@ -539,12 +533,9 @@ def block_commuting_subgroups(
     small = MatrixModP(half, p)
 
     def embed(m: Element, top: bool) -> Element:
-        rows = [list(row) for row in mat_identity(n)]
         off = 0 if top else half
-        for i in range(half):
-            for j in range(half):
-                rows[off + i][off + j] = m.payload[i][j]
-        return Element(platform, tuple(tuple(r) for r in rows))
+        block = {(off + i, off + j): v for i, r in enumerate(m.payload) for j, v in enumerate(r)}
+        return Element(platform, _identity_with(n, block))
 
     a_gens = tuple(embed(small.random_element(rng), True) for _ in range(count_a))
     b_gens = tuple(embed(small.random_element(rng), False) for _ in range(count_b))

@@ -173,6 +173,7 @@ def box_search(platform: Platform, items: list[Element], target: Element, exp_bo
     (exp_bound+1)^(k-h) values, are checked against the guard before either
     is built; the base is capped at the guard, past which it overflows the
     guard all the same, so a huge exp_bound costs no huge power."""
+    _check_same_platform(platform, items + [target])
     h, mul, base = len(items) // 2, platform.mul, min(exp_bound, ENUM_GUARD) + 1
     check_guard(base ** h + base ** (len(items) - h))
     table = _power_levels(platform.identity().payload, [x.payload for x in items[h:]],
@@ -207,6 +208,33 @@ def brute_force_dlog(platform: Platform, g: Element, target: Element, bound: int
     return DlogResult(None, bound)
 
 
+class CspResult(NamedTuple):
+    expr: Optional[Word]
+    candidates: int
+    orbit_closed: bool = False  # an orbit closed first: no conjugator at any length
+
+
+def brute_force_csp(
+    u: Element, v: Element, gens: SubgroupGens, max_len: int
+) -> CspResult:
+    """The shortlex-first x with u^x = v and |x| <= max_len, by the orbit
+    search under conjugation: x = x1 x2 with u^x1 = v^(x2^-1), each side at
+    half the depth.  candidates counts the states both sides hold at the
+    end, starts included (ENUM_GUARD bounds them).  When an orbit closes
+    first, no conjugator exists at any length and the search stops with
+    orbit_closed."""
+    platform = gens.platform
+    _check_same_platform(platform, (u, v))
+    table = gens.letter_table
+    hit, candidates, closed = sandwich_search(u.payload, v.payload, platform.mul, table, table,
+                                              max_len)
+    if hit is None:
+        return CspResult(None, candidates, closed)
+    x = Word(hit, len(gens))
+    _recheck(platform.conjugate(u, eval_word(gens, x)) == v, "csp")
+    return CspResult(x, candidates)
+
+
 def quotient_stream(w: Element, A: SubgroupGens, table: dict, bound: int):
     """Yield ``(letters, table.get(a^-1 w))`` for each distinct a in <A>
     within ``bound`` letters, in enumerate_subgroup_values' order, stepping
@@ -226,7 +254,6 @@ def ssp_decide(
     of 2^(k//2) and 2^(k-k//2) values the guard admits up to k = 38; returns
     the lexicographically first witness, 0 preferred over 1.
     """
-    _check_same_platform(platform, items + [target])
     return box_search(platform, items, target, 1, "ssp")
 
 
@@ -243,7 +270,6 @@ def kp_decide_bounded(
     A returned vector is a true witness; absence only means no witness
     inside the exponent box (the search is bounded, not a full decision).
     """
-    _check_same_platform(platform, items + [target])
     return box_search(platform, items, target, exp_bound, "kp")
 
 

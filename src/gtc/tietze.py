@@ -321,23 +321,15 @@ class T4Move:
             if j == self.i:
                 raise MoveError("cannot multiply a relator by itself")
             other = p.relators[j]
-            if self.action == "mul_right":
-                new_r = multiply(r, other)
-            elif self.action == "mul_right_inv":
-                new_r = multiply(r, invert(other))
-            elif self.action == "mul_left":
-                new_r = multiply(other, r)
-            else:  # mul_left_inv
-                new_r = multiply(invert(other), r)
+            if self.action.endswith("_inv"):
+                other = invert(other)
+            new_r = multiply(r, other) if "right" in self.action else multiply(other, r)
         else:
             k = self.arg
             if k is None or not 1 <= k <= n:
                 raise MoveError("conjugation action needs a generator index")
-            x = Word._trusted((k,), n)
-            if self.action == "conj":
-                new_r = multiply(multiply(invert(x), r), x)
-            else:
-                new_r = multiply(multiply(x, r), invert(x))
+            x = Word._trusted((k if self.action == "conj" else -k,), n)  # r^x, x = x_k^(+-1)
+            new_r = multiply(multiply(invert(x), r), x)
         rels = list(p.relators)
         rels[self.i] = new_r
         new = Presentation._trusted(n, tuple(rels))

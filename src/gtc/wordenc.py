@@ -111,16 +111,20 @@ class BitCiphertext:
     w2: Word
 
 
+def seed_presentation(kind: str, r: int) -> Presentation:
+    """The presentation of rank r a side of this kind starts from: no
+    relators for "free", each generator a relator for "trivial"."""
+    return presentation(r, [] if kind == "free" else [[i] for i in range(1, r + 1)])
+
+
 def trick_treat_keygen(r: int, chain_len: int, rng: random.Random) -> TrickTreatKey:
     """Publish one disguised trivial and one disguised free presentation
     of rank r, in random order; only the private half knows which."""
     if r < 2:
         raise RangeError("need rank >= 2")
-    free_seed = Presentation(r, ())
-    trivial_seed = presentation(r, [[i] for i in range(1, r + 1)])
-    free_chain = random_chain(free_seed, chain_len, rng)
+    free_chain = random_chain(seed_presentation("free", r), chain_len, rng)
     disguised_free = DisguisedGroup(free_chain.end, free_chain, kind="free")
-    trivial_chain = random_chain(trivial_seed, chain_len, rng)
+    trivial_chain = random_chain(seed_presentation("trivial", r), chain_len, rng)
     disguised_trivial = DisguisedGroup(trivial_chain.end, trivial_chain, kind="trivial")
     if rng.random() < 0.5:
         sides = (disguised_trivial, disguised_free)

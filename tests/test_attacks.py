@@ -124,12 +124,12 @@ def test_csp_work_counter_deterministic():
 
 
 def test_csp_witness_is_rechecked(monkeypatch):
-    from gtc import attacks
+    from gtc import problems
 
     platform, w, A, _ = block_setup()
     target = platform.conjugate(w, A.gens[1])
     # a broken evaluator: every expression evaluates to the identity
-    monkeypatch.setattr(attacks, "eval_word", lambda gens, expr: gens.platform.identity())
+    monkeypatch.setattr(problems, "eval_word", lambda gens, expr: gens.platform.identity())
     with pytest.raises(AssertionError, match="csp witness fails its re-check"):
         brute_force_csp(w, target, A, 3)
 

@@ -309,6 +309,10 @@ def test_ciphertext_line_count_exits_2_with_prefix(files, capsys):
     ("kind: free", "kind: banana", "cannot be 'banana'"),
     ("kind: free", "kind: trivial", "cannot be 'trivial'"),
     ("side: 2", "side: 3", "'side: 1' and 'side: 2'"),
+    # a free side reads a word as trivial only when its chain maps it to e, so
+    # it must start on no relators
+    ("kind: free\ngenerators: 2", "kind: free\ngenerators: 2\nrelator: 1\nrelator: 2",
+     "side 1 does not start on the free seed"),
 ])
 def test_bad_trick_private_key_exits_2(files, capsys, old, new, message):
     _edit(files["tpriv"], old, new)
@@ -332,11 +336,26 @@ def test_bad_hom_public_key_exits_2(files, capsys, old, new, message):
     ("indices: 1", "indices: 7", "'indices:' must be between 0 and 6"),
     ("indices: 1", "indices: -1", "'indices:' must be between"),
     ("generators: 3", "generators: 4", "does not match the public key"),
+    ("indices: 1", "indices: 0", "does not match the public key"),
     ("move: t1 1,1", "move: t2 9 1", "does not apply"),
 ])
 def test_bad_hom_private_key_exits_2(files, capsys, old, new, message):
     _edit(files["hpriv"], old, new)
     _exits_2(_commands(files)["hpriv"], capsys, message)
+
+
+def test_hom_private_key_of_another_key_pair_exits_2(tmp_path, capsys):
+    # seeds 4 and 5 give chains ending on 9 generators each: the same G and the
+    # same generator count, but another phi and another H-hat
+    f = {name: tmp_path / name for name in ("pub4", "priv4", "pub5", "priv5", "ct")}
+    for seed in (4, 5):
+        assert run(["hom", "keygen", "--seed", seed, "--out-pub", f[f"pub{seed}"],
+                    "--out-priv", f[f"priv{seed}"]], capsys)[0] == 0
+    assert run(["hom", "encrypt", "--seed", 8, "--word", "1,2", "--pub", f["pub4"],
+                "--out", f["ct"]], capsys)[0] == 0
+    decrypt = ["hom", "decrypt", "--pub", f["pub4"], "--ct", f["ct"], "--priv"]
+    assert run(decrypt + [f["priv4"]], capsys)[:2] == (0, "plaintext: 2 3 4 5 1\n")
+    _exits_2(decrypt + [f["priv5"]], capsys, "private key does not match the public key")
 
 
 # the last three parse, but do not fit the 4x4 block matrices of the transcript
