@@ -433,6 +433,18 @@ class SubgroupGens:
         return len(self.gens)
 
     @cached_property
+    def text(self) -> str:
+        """The ';'-joined serialized generators, as transcripts carry them."""
+        return ";".join(self.platform.serialize_element(g) for g in self.gens)
+
+    @cached_property
+    def commuting_peers(self) -> set:
+        """Lists verified to commute elementwise with this one (itself when
+        its own generators commute), recorded by check_commuting only after
+        every generator pair has passed."""
+        return set()
+
+    @cached_property
     def letter_table(self) -> dict:
         """The payload of gens[i-1] under letter i and of its inverse under
         -i; each generator is inverted once per list, and every caller reads
@@ -473,8 +485,9 @@ def eval_word(gens: SubgroupGens, w: Word) -> Element:
     if w.rank > len(gens.gens):
         raise RankError(f"word rank {w.rank} exceeds {len(gens.gens)} generators")
     platform = gens.platform
-    return Element(platform, reduce(platform.mul, map(gens.letter_table.__getitem__, w.letters),
-                                    platform.identity().payload))
+    if not w.letters:
+        return platform.identity()
+    return Element(platform, reduce(platform.mul, map(gens.letter_table.__getitem__, w.letters)))
 
 
 @dataclass(frozen=True)

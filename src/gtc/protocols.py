@@ -108,12 +108,8 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(meta.pop("protocol"), platform, meta, records)
 
 
-def serialize_gens(gens: SubgroupGens) -> str:
-    return ";".join(gens.platform.serialize_element(g) for g in gens.gens)
-
-
 def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -> SubgroupGens:
-    """Inverse of serialize_gens; ``structure`` is the '-structure' header
+    """Inverse of SubgroupGens.text; ``structure`` is the '-structure' header
     ('factor 1|2' on a direct platform or 'block top|bottom half' on a
     matrix one), if any, and every generator must lie in it."""
     elements = tuple(platform.parse_element(part) for part in text.split(";"))
@@ -140,7 +136,7 @@ def _transcript(protocol: str, platform: Platform, w: Optional[Element] = None,
     if w is not None:
         t.meta["w"] = platform.serialize_element(w)
     for name, gens in subgroups.items():
-        t.meta[name] = serialize_gens(gens)
+        t.meta[name] = gens.text
         if gens.structure is not None:
             t.meta[f"{name}-structure"] = " ".join(str(v) for v in gens.structure)
     return t
@@ -170,12 +166,17 @@ def _draw(rng: random.Random, expr_len: tuple[int, int], **subgroups: SubgroupGe
 
 def check_commuting(a: SubgroupGens, b: Optional[SubgroupGens] = None) -> None:
     """Elementwise commutation of a with b, verified on generator pairs;
-    without b, of a's generators with each other."""
+    without b, of a's generators with each other.  A pass is recorded in
+    a.commuting_peers and not checked again; a failure raises every time."""
+    peer = a if b is None else b
+    if peer in a.commuting_peers:
+        return
     pf = a.platform
     pairs = combinations(a.gens, 2) if b is None else product(a.gens, b.gens)
     for x, y in pairs:
         if pf.multiply(x, y) != pf.multiply(y, x):
             raise SetupError("generators do not commute elementwise")
+    a.commuting_peers.add(peer)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +306,20 @@ def aag_exchange(
     secrets = _draw(rng, expr_len, x=A, y=B)
     ex, ey = secrets["x"], secrets["y"]
     x, y = ex.value, ey.value
+    x_inv, y_inv = platform.invert(x), platform.invert(y)
     t = _transcript("aag", platform, A=A, B=B)
-    b_conj = [platform.conjugate(bj, x) for bj in B.gens]
+    b_conj = [platform.multiply(platform.multiply(x_inv, bj), x) for bj in B.gens]
     for j, el in enumerate(b_conj, start=1):
         t.add("Alice", f"b{j}^x", el)
-    a_conj = [platform.conjugate(ai, y) for ai in A.gens]
+    a_conj = [platform.multiply(platform.multiply(y_inv, ai), y) for ai in A.gens]
     for i, el in enumerate(a_conj, start=1):
         t.add("Bob", f"a{i}^y", el)
     # Alice: x(a_1^y, ...) = x^y, then multiply by x^-1 on the left.
     x_y = eval_word(SubgroupGens(platform, tuple(a_conj)), ex.expr)
-    key_alice = platform.multiply(platform.invert(x), x_y)
+    key_alice = platform.multiply(x_inv, x_y)
     # Bob: y(b_1^x, ...) = y^x, multiply by y^-1 on the left, invert.
     y_x = eval_word(SubgroupGens(platform, tuple(b_conj)), ey.expr)
-    key_bob = platform.invert(platform.multiply(platform.invert(y), y_x))
+    key_bob = platform.invert(platform.multiply(y_inv, y_x))
     return SessionOutcome(t, key_alice, key_bob, secrets)
 
 

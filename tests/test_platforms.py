@@ -1,8 +1,9 @@
 import random
+from functools import reduce
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtc import linalg, platforms
@@ -56,6 +57,22 @@ def test_eval_word_examples():
     for pf in all_platforms():
         gens = SubgroupGens(pf, tuple(pf.generators()))
         assert eval_word(gens, Word((), 1)) == pf.identity()
+
+
+@pytest.mark.parametrize("platform", all_platforms(), ids=lambda p: p.kind)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       letters=st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10))
+@example(seed=0, letters=[])
+@example(seed=0, letters=[2])
+@example(seed=0, letters=[-3])
+@example(seed=0, letters=[1, -2, 3, -1, 2])
+def test_eval_word_folds_like_the_identity_seeded_product(platform, seed, letters):
+    rng = random.Random(seed)
+    gens = SubgroupGens(platform, tuple(platform.random_element(rng) for _ in range(3)))
+    seeded = reduce(platform.mul, map(gens.letter_table.__getitem__, letters),
+                    platform.identity().payload)
+    assert eval_word(gens, Word(tuple(letters), 3)).payload == seeded
 
 
 def test_eval_word_rank_guard():

@@ -5,11 +5,13 @@ import pytest
 from gtc.errors import ParseError, SetupError
 from gtc.platforms import (
     CyclicModP,
+    DirectFreePlatform,
     FreePlatform,
     MatrixModP,
     SubgroupGens,
     block_commuting_subgroups,
     cyclic_subgroup,
+    direct_factor_subgroups,
     square_and_multiply,
 )
 from gtc.protocols import (
@@ -261,6 +263,87 @@ def test_factorization_agreement_and_eve_products_differ():
         if a_noncommuting and b_noncommuting:
             assert platform.multiply(m1, m2) != out.key_alice
             assert platform.multiply(m2, m1) != out.key_alice
+
+
+# --- the public commutation checks ------------------------------------------
+# Each setup returns a fresh platform, a commuting (A, B) and a pair that fails
+# the exchange's check; every commuting (A, B) costs 8 products to verify.
+
+def block_pairs(rng):
+    A, B = block_commuting_subgroups(4, 5, 2, 2, rng)
+    stray = SubgroupGens(A.platform, (A.platform.random_element(rng),))
+    return A.platform, (A, B), (A, stray)
+
+
+def direct_pairs(rng):
+    platform = DirectFreePlatform(2, 2)
+    A, B = direct_factor_subgroups(platform)
+    # the second generator of the first factor does not commute with the first
+    return platform, (A, B), (A, SubgroupGens(platform, (platform.generators()[1],)))
+
+
+def commutative_pairs(rng):
+    platform = MatrixModP(4, 5)
+    g, h = platform.random_element(rng), platform.random_element(rng)
+    A = SubgroupGens(platform, tuple(square_and_multiply(platform, g, k) for k in (1, 2, 3)))
+    B = SubgroupGens(platform, (h, platform.multiply(h, h)))
+    return platform, (A, B), (SubgroupGens(platform, (g, h)), B)
+
+
+def factorization_session(platform, w, A, B, rng):
+    return factorization_exchange(platform, A, B, rng)
+
+
+CHECKED_SETUPS = {
+    "ko-lee": (ko_lee_exchange, block_pairs),
+    "decomp": (decomposition_exchange, block_pairs),
+    "decomp-direct": (decomposition_exchange, direct_pairs),
+    "twisted": (twisted_exchange, block_pairs),
+    "factor": (factorization_session, block_pairs),
+    "commutative": (commutative_subgroups_exchange, commutative_pairs),
+}
+
+
+def count_products(platform):
+    """Tally every payload product of ``platform``: multiply and eval_word
+    both go through its mul."""
+    counts = {"products": 0}
+    mul = platform.mul
+
+    def counted(x, y):
+        counts["products"] += 1
+        return mul(x, y)
+
+    object.__setattr__(platform, "mul", counted)
+    return counts
+
+
+@pytest.mark.parametrize("run,pairs", CHECKED_SETUPS.values(), ids=CHECKED_SETUPS.keys())
+def test_a_noncommuting_pair_raises_on_every_call(run, pairs):
+    platform, good, bad = pairs(random.Random(20))
+    w = platform.random_element(random.Random(21))
+    assert run(platform, w, *good, random.Random(22)).agreed
+    for _ in range(2):
+        with pytest.raises(SetupError):
+            run(platform, w, *bad, random.Random(22))
+    assert not {bad[0], bad[1]} & bad[0].commuting_peers
+
+
+@pytest.mark.parametrize("run,pairs", CHECKED_SETUPS.values(), ids=CHECKED_SETUPS.keys())
+def test_a_commuting_pair_is_verified_once_and_stays_accepted(run, pairs):
+    platform, (A, B), _ = pairs(random.Random(20))
+    w = platform.random_element(random.Random(21))
+    counts = count_products(platform)
+    spent, transcripts = [], set()
+    for _ in range(3):
+        before = counts["products"]
+        out = run(platform, w, A, B, random.Random(22))
+        spent.append(counts["products"] - before)
+        assert out.agreed
+        transcripts.add(serialize_transcript(out.transcript))
+    assert spent[0] - spent[1] == 8
+    assert spent[1] == spent[2]
+    assert len(transcripts) == 1
 
 
 # --- semidirect -------------------------------------------------------------
