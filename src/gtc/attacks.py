@@ -10,14 +10,17 @@ session keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import AttackFailed, ParseError
-from .platforms import Element, Platform, SubgroupGens, eval_word, square_and_multiply
+from .platforms import (Element, Platform, SubgroupGens, eval_word, parse_gens,
+                        square_and_multiply)
 from .problems import (brute_force_csp, brute_force_dlog, enumerate_subgroup_values,
                        quotient_stream, signed_letters)
-from .protocols import Transcript, parse_gens
 from .words import Word
+
+if TYPE_CHECKING:  # annotations only: an attack reads a transcript, never builds one
+    from .protocols import Transcript
 
 
 @dataclass

@@ -24,19 +24,17 @@ from .rewriting import (
 )
 from .tietze import (
     ChainBuilder,
-    GenMap,
     Presentation,
     T1Move,
     T3Move,
     T4Move,
     TietzeChain,
-    apply_map,
     break_relators,
     discard_relators,
     presentation,
     random_chain,
 )
-from .words import Word, random_word
+from .words import GenMap, Word, apply_map, random_word
 
 
 @dataclass(frozen=True)
@@ -158,28 +156,6 @@ def hom_decrypt(keys: HomomorphicKeyPair, ct: Word) -> Element:
         raise RankError("ciphertext is not over the published alphabet")
     w = apply_map(keys.private.phi_inv, Word(ct.letters, keys.private.phi_inv.from_gens))
     return eval_faithful(keys.public, w)
-
-
-def unreached_generators(pk: HomomorphicPublicKey) -> frozenset:
-    """Diagnostic for the onto question: published generators that are not
-    visibly expressible from the image of phi via the kept relators.
-    Empty set means the obvious obstruction is absent, not a guarantee."""
-    n = pk.H_hat.n_gens
-    reached = set()
-    for img in pk.phi.images:
-        reached.update(abs(l) for l in img.letters)
-    changed = True
-    while changed:
-        changed = False
-        for r in pk.H_hat.relators:
-            gens_in_r = [abs(l) for l in r.letters]
-            unknown = {g for g in gens_in_r if g not in reached}
-            if len(unknown) == 1:
-                g = unknown.pop()
-                if gens_in_r.count(g) == 1:
-                    reached.add(g)
-                    changed = True
-    return frozenset(set(range(1, n + 1)) - reached)
 
 
 # ---------------------------------------------------------------------------

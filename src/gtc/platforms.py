@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import ParseError, RankError, SamplingError, SetupError
 from .linalg import centralizer_basis, is_invertible, mat_identity, mat_inv, mat_mul_mod
-from .words import (Word, empty_word, free_reduce, invert, multiply, parse_word,
+from .words import (Word, empty_word, free_reduce, int_value, invert, multiply, parse_word,
                     random_reduced_word, serialize_word)
 
 
@@ -478,6 +478,27 @@ class SubgroupGens:
                         return False
             return True
         return None
+
+
+def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -> SubgroupGens:
+    """Inverse of SubgroupGens.text; ``structure`` is the '-structure' header
+    ('factor 1|2' on a direct platform or 'block top|bottom half' on a
+    matrix one), if any, and every generator must lie in it."""
+    elements = tuple(platform.parse_element(part) for part in text.split(";"))
+    struct = None
+    if structure is not None:
+        parts = structure.split()
+        if parts[:1] == ["factor"] and len(parts) == 2 and platform.kind == "direct":
+            struct = ("factor", int_value("structure", parts[1], 1, 2))
+        elif (parts[:1] == ["block"] and len(parts) == 3 and parts[1] in ("top", "bottom")
+              and platform.kind == "matrix"):
+            struct = ("block", parts[1], int_value("structure", parts[2], 1, platform.n - 1))
+        else:
+            raise ParseError(f"bad subgroup structure {structure!r} on a {platform.kind} platform")
+    gens = SubgroupGens(platform, elements, structure=struct)
+    if struct is not None and not all(gens.contains(g) for g in elements):
+        raise ParseError(f"a generator lies outside its subgroup structure {structure!r}")
+    return gens
 
 
 def eval_word(gens: SubgroupGens, w: Word) -> Element:

@@ -14,12 +14,10 @@ from functools import reduce
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BoundError, ParseError, RankError
-from .platforms import (Element, FreePlatform, Platform, SubgroupGens, eval_word,
+from .platforms import (Element, FreePlatform, Platform, SubgroupGens, eval_word, parse_gens,
                         platform_from_spec)
-from .protocols import parse_gens
-from .tietze import GenMap, apply_map
-from .words import (Word, empty_word, int_value, invert, multiply, one_field,
-                    parse_word, read_fields, serialize_word)
+from .words import (GenMap, Word, apply_map, empty_word, int_value, invert, multiply,
+                    one_field, parse_word, read_fields, serialize_word)
 
 
 def _recheck(holds: bool, problem: str) -> None:

@@ -27,7 +27,7 @@ from .platforms import (
     platform_from_spec,
     square_and_multiply,
 )
-from .words import Word, int_value, random_reduced_word, read_fields
+from .words import random_reduced_word, read_fields
 
 # ---------------------------------------------------------------------------
 # transcripts
@@ -106,27 +106,6 @@ def parse_transcript(text: str) -> Transcript:
         raise ParseError("transcript is missing protocol/platform headers")
     platform = platform_from_spec(meta.pop("platform"))
     return Transcript(meta.pop("protocol"), platform, meta, records)
-
-
-def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -> SubgroupGens:
-    """Inverse of SubgroupGens.text; ``structure`` is the '-structure' header
-    ('factor 1|2' on a direct platform or 'block top|bottom half' on a
-    matrix one), if any, and every generator must lie in it."""
-    elements = tuple(platform.parse_element(part) for part in text.split(";"))
-    struct = None
-    if structure is not None:
-        parts = structure.split()
-        if parts[:1] == ["factor"] and len(parts) == 2 and platform.kind == "direct":
-            struct = ("factor", int_value("structure", parts[1], 1, 2))
-        elif (parts[:1] == ["block"] and len(parts) == 3 and parts[1] in ("top", "bottom")
-              and platform.kind == "matrix"):
-            struct = ("block", parts[1], int_value("structure", parts[2], 1, platform.n - 1))
-        else:
-            raise ParseError(f"bad subgroup structure {structure!r} on a {platform.kind} platform")
-    gens = SubgroupGens(platform, elements, structure=struct)
-    if struct is not None and not all(gens.contains(g) for g in elements):
-        raise ParseError(f"a generator lies outside its subgroup structure {structure!r}")
-    return gens
 
 
 def _transcript(protocol: str, platform: Platform, w: Optional[Element] = None,
@@ -465,37 +444,6 @@ class InnerAutomorphism:
         return power
 
 
-class FreeEndomorphism:
-    """Generator-image endomorphism of a free platform."""
-
-    def __init__(self, platform, images: tuple[Word, ...]) -> None:
-        from .tietze import GenMap
-
-        self.platform = platform
-        self.map = GenMap(platform.rank, platform.rank, images)
-
-    def apply(self, e: Element) -> Element:
-        from .tietze import apply_map
-
-        return self.platform.element(apply_map(self.map, e.payload))
-
-    def semidirect_powers(self, g: Element):
-        """power(m) -> (phi^{m-1}(g) ... phi(g) g, phi^m), in O(m) steps."""
-
-        def apply_m(e: Element, m: int) -> Element:
-            for _ in range(m):
-                e = self.apply(e)
-            return e
-
-        def power(m: int):
-            acc = g
-            for _ in range(m - 1):
-                acc = self.platform.multiply(self.apply(acc), g)
-            return acc, lambda e: apply_m(e, m)
-
-        return power
-
-
 def inner_automorphism(platform: Platform, h: Element) -> InnerAutomorphism:
     """Endomorphism spec for conjugation by h; SetupError if h is singular."""
     return InnerAutomorphism(platform, h)
@@ -504,7 +452,7 @@ def inner_automorphism(platform: Platform, h: Element) -> InnerAutomorphism:
 def semidirect_exchange(
     platform: Platform,
     g: Element,
-    phi,
+    phi: InnerAutomorphism,
     rng: random.Random,
     m: Optional[int] = None,
     n: Optional[int] = None,
@@ -524,8 +472,7 @@ def semidirect_exchange(
     b_msg, phi_n = power(n)
     t = Transcript("semidirect", platform)
     t.meta["g"] = platform.serialize_element(g)
-    if isinstance(phi, InnerAutomorphism):
-        t.meta["h"] = platform.serialize_element(phi.h)
+    t.meta["h"] = platform.serialize_element(phi.h)
     t.add("Alice", "first-A", a_msg)
     t.add("Bob", "first-B", b_msg)
     key_alice = platform.multiply(phi_m(b_msg), a_msg)

@@ -18,10 +18,11 @@ from typing import Optional
 
 from .errors import MoveError, ParseError, RankError
 from .words import (
+    GenMap,
     Word,
+    apply_map,
     free_reduce,
     int_value,
-    inverse_letters,
     invert,
     multiply,
     parse_word,
@@ -66,33 +67,6 @@ def presentation(n_gens: int, relators) -> Presentation:
     return Presentation(n_gens, tuple(Word(tuple(r), n_gens) for r in relators))
 
 
-@dataclass(frozen=True)
-class GenMap:
-    """A generator-image map: x_i of the source goes to images[i-1]."""
-
-    from_gens: int
-    to_gens: int
-    images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.from_gens:
-            raise RankError("need one image per source generator")
-        for img in self.images:
-            if img.rank != self.to_gens:
-                raise RankError("image rank does not match target alphabet")
-
-    @classmethod
-    def _trusted(cls, from_gens: int, to_gens: int, images: tuple[Word, ...]) -> GenMap:
-        """Unchecked constructor: one image of rank ``to_gens`` per source
-        generator, by construction."""
-        m = object.__new__(cls)
-        d = m.__dict__
-        d["from_gens"] = from_gens
-        d["to_gens"] = to_gens
-        d["images"] = images
-        return m
-
-
 @lru_cache(maxsize=128)
 def _generators(n_gens: int, rank: int) -> tuple[Word, ...]:
     """The one-letter words x_1..x_n_gens over an alphabet of ``rank``
@@ -102,20 +76,6 @@ def _generators(n_gens: int, rank: int) -> tuple[Word, ...]:
 
 def identity_map(n_gens: int) -> GenMap:
     return GenMap._trusted(n_gens, n_gens, _generators(n_gens, n_gens))
-
-
-def apply_map(m: GenMap, w: Word) -> Word:
-    """Substitute images for letters and freely reduce."""
-    if w.rank > m.from_gens:
-        raise RankError(f"word rank {w.rank} exceeds map domain {m.from_gens}")
-    images = m.images
-    letters: list[int] = []
-    for letter in w.letters:
-        if letter > 0:
-            letters.extend(images[letter - 1].letters)
-        else:
-            letters.extend(inverse_letters(images[-letter - 1].letters))
-    return free_reduce(Word._trusted(tuple(letters), m.to_gens))
 
 
 def compose_maps(first: GenMap, second: GenMap) -> GenMap:

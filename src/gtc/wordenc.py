@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import LengthError, RangeError
 from .rewriting import PairInsert, RelatorInsert
 from .rng import substream
-from .tietze import Presentation, TietzeChain, apply_map, presentation, random_chain
-from .words import Word, empty_word, random_word, random_reduced_word
+from .tietze import Presentation, TietzeChain, presentation, random_chain
+from .words import Word, apply_map, empty_word, random_word, random_reduced_word
 
 
 def algorithm0(pres: Presentation, len_range: tuple[int, int], rng: random.Random) -> Word:

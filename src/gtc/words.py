@@ -143,6 +143,50 @@ def parse_word(text: str, rank: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# generator-image maps
+
+@dataclass(frozen=True)
+class GenMap:
+    """A generator-image map: x_i of the source goes to images[i-1]."""
+
+    from_gens: int
+    to_gens: int
+    images: tuple[Word, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.images) != self.from_gens:
+            raise RankError("need one image per source generator")
+        for img in self.images:
+            if img.rank != self.to_gens:
+                raise RankError("image rank does not match target alphabet")
+
+    @classmethod
+    def _trusted(cls, from_gens: int, to_gens: int, images: tuple[Word, ...]) -> GenMap:
+        """Unchecked constructor: one image of rank ``to_gens`` per source
+        generator, by construction."""
+        m = object.__new__(cls)
+        d = m.__dict__
+        d["from_gens"] = from_gens
+        d["to_gens"] = to_gens
+        d["images"] = images
+        return m
+
+
+def apply_map(m: GenMap, w: Word) -> Word:
+    """Substitute images for letters and freely reduce."""
+    if w.rank > m.from_gens:
+        raise RankError(f"word rank {w.rank} exceeds map domain {m.from_gens}")
+    images = m.images
+    letters: list[int] = []
+    for letter in w.letters:
+        if letter > 0:
+            letters.extend(images[letter - 1].letters)
+        else:
+            letters.extend(inverse_letters(images[-letter - 1].letters))
+    return free_reduce(Word._trusted(tuple(letters), m.to_gens))
+
+
+# ---------------------------------------------------------------------------
 # key files: the one line reader every text format is built on
 
 def read_fields(

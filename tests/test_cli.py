@@ -616,20 +616,32 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
-def test_commands_import_only_the_layers_they_run(tmp_path):
-    instance = tmp_path / "i.txt"
-    instance.write_text("\n".join(["problem: gpcp"] + SOLVE_PINS[2][1]) + "\n")
-    for argv in (["simulate", "--protocol", "dh"], ["solve", "gpcp", "--instance", str(instance)],
-                 ["solve", "--help"]):
+def test_commands_import_only_the_layers_they_run(tmp_path, capsys):
+    solves = []
+    for problem, lines in (("gpcp", SOLVE_PINS[2][1]), ("twisted", SOLVE_PINS[4][1])):
+        instance = tmp_path / f"{problem}.txt"
+        instance.write_text("\n".join([f"problem: {problem}"] + lines) + "\n")
+        solves.append(["solve", problem, "--instance", str(instance)])
+    transcript = _simulate(tmp_path, capsys, "ko-lee", 3, 3)
+    attack = ["attack", "--transcript", str(transcript), "--method", "csp", "--bound", "3"]
+    for argv in [["simulate", "--protocol", "dh"], *solves, attack, ["solve", "--help"]]:
         proc = _fresh_gtc(argv, "-X", "importtime")
         assert proc.returncode == 0, argv
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
         # argparse prints help and usage errors; the table reader serves valid commands
         assert ("argparse" in imported) == (argv[-1] == "--help"), argv
+        loaded = {name for name in imported if name == "gtc" or name.startswith("gtc.")}
         if argv[0] == "simulate":
-            assert imported.isdisjoint({f"gtc.{name}" for name in (
-                "attacks", "problems", "homenc", "wordenc", "tietze", "rewriting")}), imported
+            assert loaded.isdisjoint({f"gtc.{name}" for name in (
+                "attacks", "problems", "homenc", "wordenc", "tietze", "rewriting")}), loaded
+        elif argv in solves:
+            # a decider runs on words and platforms: no protocol, scheme or Tietze layer
+            assert loaded == {"gtc", "gtc.cli", "gtc.errors", "gtc.rng", "gtc.words",
+                              "gtc.linalg", "gtc.platforms", "gtc.problems"}, argv
+        elif argv is attack:
+            assert loaded.isdisjoint({f"gtc.{name}" for name in (
+                "tietze", "homenc", "wordenc", "rewriting")}), loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gtc.cli; print(' '.join(sorted(sys.modules)))"],

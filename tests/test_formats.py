@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from gtc import cli, homenc, wordenc
 from gtc.errors import ParseError
+from gtc.platforms import (block_commuting_subgroups, direct_factor_subgroups, parse_gens,
+                           platform_from_spec)
 from gtc.problems import parse_instance
 from gtc.protocols import parse_transcript, serialize_transcript
 from gtc.tietze import (
@@ -75,10 +77,25 @@ VALUES = st.one_of(
 LINE = st.one_of(
     st.tuples(st.sampled_from(KEYS), VALUES).map(lambda kv: f"{kv[0]}: {kv[1]}"),
     st.sampled_from(["[G]", "[H-hat]", "[phi]", "[faithful]", "[chain]", "[discarded]",
-                     "1,2", "e", "t1 1,2", "1 Alice x 5", "2 Bob y 3", "", "#"]),
+                     "1,2", "e", "t1 1,2", "1 Alice x 5", "2 Bob y 3", "", "#",
+                     "1|e;e|2", "factor 1", "block top 2", "1 0 0 0 0 1 0 0 0 0 1 2 0 0 0 1"]),
     st.text(max_size=12),
 )
 TEXT = st.one_of(st.lists(LINE, max_size=14).map("\n".join), st.text(max_size=60))
+
+GENS_PLATFORMS = (platform_from_spec("matrix 4 5"), platform_from_spec("direct 2 2"))
+
+
+def _read_gens(text):
+    """The first line as a generator list and the second, if any, as its
+    structure, on each platform that has subgroup structures."""
+    lines = text.split("\n")
+    for platform in GENS_PLATFORMS:
+        try:
+            parse_gens(platform, lines[0], lines[1] if len(lines) > 1 else None)
+        except ParseError:
+            pass
+
 
 _HOM = homenc.hom_keygen(homenc.worked_example_presentation(),
                          homenc.worked_example_faithful(), 3, 1, random.Random(5))
@@ -87,6 +104,7 @@ READERS = {
     "presentation": parse_presentation,
     "transcript": parse_transcript,
     "instance": parse_instance,
+    "gens": _read_gens,
     "map": lambda text: parse_map(read_fields(text)[0], 3),
     "move": lambda text: parse_move(text, 3),
     "trick-public": cli._parse_trick_public,
@@ -159,6 +177,21 @@ def test_hom_key_roundtrip(seed, group, chain_len, discard):
     public = cli._parse_hom_public(cli._format_hom_public(kp.public))
     assert public == kp.public
     assert cli._parse_hom_private(cli._format_hom_private(kp), public) == kp
+
+
+@pytest.mark.parametrize("platform", GENS_PLATFORMS, ids=lambda pf: pf.kind)
+def test_subgroup_gens_roundtrip_and_structure(platform):
+    if platform.kind == "matrix":
+        A, B = block_commuting_subgroups(4, 5, 2, 2, random.Random(3))
+    else:
+        A, B = direct_factor_subgroups(platform)
+    structures = [" ".join(map(str, gens.structure)) for gens in (A, B)]
+    for gens, structure in zip((A, B), structures):
+        assert parse_gens(platform, gens.text, structure) == gens
+    # each list's generators lie outside the other's block or factor
+    for gens, structure in zip((A, B), reversed(structures)):
+        with pytest.raises(ParseError, match="outside its subgroup structure"):
+            parse_gens(platform, gens.text, structure)
 
 
 # --- the CLI on malformed files -------------------------------------------------------

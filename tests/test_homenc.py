@@ -13,7 +13,6 @@ from gtc.homenc import (
     hom_keygen,
     randomize_word,
     scripted_encrypt,
-    unreached_generators,
     worked_example_chain,
     worked_example_encryption,
     worked_example_faithful,
@@ -185,19 +184,6 @@ def test_ciphertext_length_linear_in_steps():
     for steps in (1, 4, 16, 64):
         ct = hom_encrypt(kp.public, plain, steps, random.Random(7))
         assert len(ct) <= base + steps * per_step
-
-
-def test_unreached_generators_diagnostic():
-    kp = worked_example_keypair()
-    # every published generator is visibly expressible with the kept relators
-    assert unreached_generators(kp.public) == frozenset()
-    # dropping the relators that define x4 leaves it unreachable
-    chain = worked_example_chain()
-    thin = discard_relators(chain.end, {0, 3})
-    from gtc.homenc import HomomorphicPublicKey
-
-    pk = HomomorphicPublicKey(chain.phi, chain.start, thin, worked_example_faithful())
-    assert 4 in unreached_generators(pk)
 
 
 def test_identity_keypair_helper():

@@ -15,7 +15,6 @@ from gtc.platforms import (
     square_and_multiply,
 )
 from gtc.protocols import (
-    FreeEndomorphism,
     aag_exchange,
     centralizer_exchange,
     commutative_subgroups_exchange,
@@ -33,7 +32,6 @@ from gtc.protocols import (
     twisted_exchange,
 )
 from gtc.rng import substream
-from gtc.words import Word
 
 
 def cyclic23():
@@ -397,17 +395,6 @@ def test_semidirect_warns_when_h_and_hg_commute():
         semidirect_exchange(platform, g, phi, random.Random(2), m=3, n=4)
 
 
-def test_semidirect_free_endomorphism():
-    from gtc.protocols import FreeEndomorphism
-    from gtc.words import Word
-
-    fp = FreePlatform(2)
-    phi = FreeEndomorphism(fp, (Word((1, 2), 2), Word((2,), 2)))
-    g = fp.element(Word((1,), 2))
-    out = semidirect_exchange(fp, g, phi, random.Random(3), m=3, n=2)
-    assert out.agreed
-
-
 def transmission_oracle(phi, g, m):
     """The defining product phi^{m-1}(g) ... phi(g) g, one factor at a time."""
     factors = [g]
@@ -427,18 +414,13 @@ def apply_times(phi, e, m):
 
 def test_semidirect_powers_match_the_defining_product():
     platform, g, h = semidirect_setup()
-    fp = FreePlatform(2)
-    specs = [
-        (inner_automorphism(platform, h), g),
-        (FreeEndomorphism(fp, (Word((1, 2), 2), Word((2,), 2))), fp.element(Word((1,), 2))),
-    ]
-    for phi, base in specs:
-        power = phi.semidirect_powers(base)
-        probe = phi.platform.multiply(base, base)
-        for m in range(1, 61):
-            first, phi_m = power(m)
-            assert first == transmission_oracle(phi, base, m), (type(phi).__name__, m)
-            assert phi_m(probe) == apply_times(phi, probe, m), (type(phi).__name__, m)
+    phi = inner_automorphism(platform, h)
+    power = phi.semidirect_powers(g)
+    probe = platform.multiply(g, g)
+    for m in range(1, 61):
+        first, phi_m = power(m)
+        assert first == transmission_oracle(phi, g, m), m
+        assert phi_m(probe) == apply_times(phi, probe, m), m
 
 
 def counting_matrix_platform(n, p):
