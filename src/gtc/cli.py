@@ -275,8 +275,8 @@ def _parse_trick_private(text: str) -> wordenc.TrickTreatPrivate:
         if start != wordenc.seed_presentation(kind, start.n_gens):
             raise ParseError(f"side {idx} does not start on the {kind} seed")
         chain = tietze.replay_moves(start, moves)
-        sides.append(wordenc.DisguisedGroup(chain.end, chain, kind))
-    return wordenc.TrickTreatPrivate(trivial_index, (sides[0], sides[1]))
+        sides.append(wordenc.DisguisedGroup(chain, kind))
+    return wordenc.TrickTreatPrivate((sides[0], sides[1]))
 
 
 def _format_trick_public(publics) -> str:
@@ -405,7 +405,7 @@ def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc
     kept = tuple(r for i, r in enumerate(chain.end.relators) if i not in indices)
     if G != public.G or chain.phi != public.phi or kept != public.H_hat.relators:
         raise ParseError("private key does not match the public key")
-    private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain.end, chain, indices)
+    private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain, indices)
     return homenc.HomomorphicKeyPair(public, private)
 
 

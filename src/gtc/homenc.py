@@ -23,7 +23,6 @@ from .rewriting import (
     random_substitution,
 )
 from .tietze import (
-    ChainBuilder,
     Presentation,
     T1Move,
     T3Move,
@@ -53,10 +52,17 @@ class HomomorphicPublicKey:
 
 @dataclass(frozen=True)
 class HomomorphicPrivateKey:
+    """The chain from G to H (H is its end) and the relators of H withheld
+    from H-hat; ``phi_inv``, the chain's inverse map, is composed at keygen
+    so that no decryption composes a map."""
+
     phi_inv: GenMap
-    H: Presentation
     chain: TietzeChain
     discarded: frozenset
+
+    @property
+    def H(self) -> Presentation:
+        return self.chain.end
 
 
 @dataclass(frozen=True)
@@ -86,11 +92,10 @@ def hom_keygen(
     """Private chain = relator breaking (to length 3) plus ``chain_len``
     random moves; then ``discard_count`` random relators are withheld."""
     check_faithful_images(G, faithful)
-    chain = TietzeChain(G, (), G, ())
     if chain_len > 0:
-        broken = break_relators(G, 3)
-        tail = random_chain(broken.end, chain_len, rng)
-        chain = TietzeChain(G, broken.moves + tail.moves, tail.end, broken.steps + tail.steps)
+        chain = random_chain(break_relators(G, 3), chain_len, rng)
+    else:
+        chain = TietzeChain.of(G)
     H = chain.end
     if discard_count >= len(H.relators) and discard_count > 0:
         raise KeygenError("cannot discard that many relators")
@@ -99,7 +104,7 @@ def hom_keygen(
     H_hat = discard_relators(H, keep) if keep else H
     return HomomorphicKeyPair(
         HomomorphicPublicKey(chain.phi, G, H_hat, faithful),
-        HomomorphicPrivateKey(chain.phi_inv, H, chain, discarded),
+        HomomorphicPrivateKey(chain.phi_inv, chain, discarded),
     )
 
 
@@ -169,15 +174,16 @@ def worked_example_presentation() -> Presentation:
 def worked_example_chain() -> TietzeChain:
     """The scripted chain: two generator introductions with rewrites, a
     swap of x1 and x5, and one more introduction with a rewrite."""
-    builder = ChainBuilder(worked_example_presentation())
-    builder.apply(T1Move(Word((1, 1), 3)))
-    builder.apply(T4Move(0, "mul_left", 2))
-    builder.apply(T1Move(Word((1, 2, 2), 4)))
-    builder.apply(T4Move(1, "mul_left", 3))
-    builder.apply(T3Move(("swap", 1, 5)))
-    builder.apply(T1Move(Word((4, 2), 5)))
-    builder.apply(T4Move(0, "mul_left", 4))
-    return builder.chain()
+    return (
+        TietzeChain.of(worked_example_presentation())
+        .then(T1Move(Word((1, 1), 3)))
+        .then(T4Move(0, "mul_left", 2))
+        .then(T1Move(Word((1, 2, 2), 4)))
+        .then(T4Move(1, "mul_left", 3))
+        .then(T3Move(("swap", 1, 5)))
+        .then(T1Move(Word((4, 2), 5)))
+        .then(T4Move(0, "mul_left", 4))
+    )
 
 
 def worked_example_faithful() -> tuple[Element, ...]:
@@ -199,7 +205,7 @@ def worked_example_keypair() -> HomomorphicKeyPair:
     h_hat = discard_relators(chain.end, set(range(5)) - discarded)
     return HomomorphicKeyPair(
         HomomorphicPublicKey(chain.phi, chain.start, h_hat, worked_example_faithful()),
-        HomomorphicPrivateKey(chain.phi_inv, chain.end, chain, discarded),
+        HomomorphicPrivateKey(chain.phi_inv, chain, discarded),
     )
 
 

@@ -213,16 +213,13 @@ def elgamal_decrypt(
     return platform.multiply(c1, platform.invert(mask))
 
 
-def elgamal_session(
-    platform: CyclicModP, rng: random.Random, m: Optional[Element] = None
-) -> SessionOutcome:
+def elgamal_session(platform: CyclicModP, rng: random.Random) -> SessionOutcome:
     """Keygen + encrypt + decrypt roundtrip; keys agree iff decryption is
     correct (key_bob is the plaintext, key_alice the decryption)."""
     a = rng.randrange(1, _exponent_order(platform))
     g = platform.generators()[0]
     pk = square_and_multiply(platform, g, a)
-    if m is None:
-        m = platform.random_element(rng)
+    m = platform.random_element(rng)
     c1, c2 = elgamal_encrypt(platform, pk, m, rng)
     t = Transcript("elgamal", platform)
     t.add("Alice", "pk", pk)
@@ -341,15 +338,13 @@ def centralizer_exchange(
     cent_gens: int = 3,
     expr_len: tuple[int, int] = (4, 8),
     a1: Optional[Element] = None,
-    b2: Optional[Element] = None,
 ) -> SessionOutcome:
     """Each party publishes a subgroup of the centralizer of its first
     secret; the peer draws its second secret from that published subgroup."""
     if a1 is None:
         a1 = platform.random_element(rng)
     A_pub = matrix_centralizer_sample(a1, cent_gens, rng)
-    if b2 is None:
-        b2 = platform.random_element(rng)
+    b2 = platform.random_element(rng)
     B_pub = matrix_centralizer_sample(b2, cent_gens, rng)
     t = _transcript("centralizer", platform, w)
     for sender, name, pub in (("Alice", "centA", A_pub), ("Bob", "centB", B_pub)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 from .errors import MoveError, ParseError, RankError
@@ -27,7 +27,6 @@ from .words import (
     multiply,
     parse_word,
     random_reduced_word,
-    read_fields,
     serialize_word,
 )
 
@@ -307,15 +306,25 @@ class TietzeChain:
     """Moves from ``start`` to ``end``; ``steps`` holds each move's
     (forward, backward) generator maps.
 
-    ``phi`` (start -> end) and ``phi_inv`` (end -> start) are composed
-    from ``steps`` on first read and cached, so a chain whose maps are
-    never read costs no composition.
+    A chain is immutable and grows only by ``then``; ``TietzeChain.of(p)``
+    is the empty chain on ``p``.  ``phi`` (start -> end) and ``phi_inv``
+    (end -> start) are composed from ``steps`` on first read and cached,
+    so a chain whose maps are never read costs no composition.
     """
 
     start: Presentation
     moves: tuple[Move, ...]
     end: Presentation
     steps: tuple[tuple[GenMap, GenMap], ...]
+
+    @classmethod
+    def of(cls, p: Presentation) -> TietzeChain:
+        return cls(p, (), p, ())
+
+    def then(self, move: Move) -> TietzeChain:
+        """This chain extended by ``move``, applied to ``end``."""
+        new, fwd, bwd = move.apply(self.end)
+        return TietzeChain(self.start, self.moves + (move,), new, self.steps + ((fwd, bwd),))
 
     @cached_property
     def phi(self) -> GenMap:
@@ -332,37 +341,14 @@ class TietzeChain:
         return phi_inv
 
 
-class ChainBuilder:
-    """Accumulates moves and their generator maps."""
-
-    def __init__(self, start: Presentation) -> None:
-        self.start = start
-        self.current = start
-        self.moves: list[Move] = []
-        self.steps: list[tuple[GenMap, GenMap]] = []
-
-    def apply(self, move: Move) -> Presentation:
-        new, fwd, bwd = move.apply(self.current)
-        self.moves.append(move)
-        self.steps.append((fwd, bwd))
-        self.current = new
-        return new
-
-    def chain(self) -> TietzeChain:
-        return TietzeChain(self.start, tuple(self.moves), self.current, tuple(self.steps))
-
-
 def compose_chain(chain: TietzeChain) -> tuple[GenMap, GenMap]:
     """Replay the chain from its start; returns (phi, phi_inv).
 
     Raises MoveError if the stored moves do not replay to the stored end.
     """
-    builder = ChainBuilder(chain.start)
-    for move in chain.moves:
-        builder.apply(move)
-    if builder.current != chain.end:
+    replayed = reduce(TietzeChain.then, chain.moves, TietzeChain.of(chain.start))
+    if replayed.end != chain.end:
         raise MoveError("chain replay does not reproduce the end presentation")
-    replayed = builder.chain()
     return replayed.phi, replayed.phi_inv
 
 
@@ -406,12 +392,12 @@ def break_relators(p: Presentation, max_len: int) -> TietzeChain:
     if max_len < 3:
         raise MoveError("max_len must be at least 3")
     cap = max(max_len, 4) - 1
-    builder = ChainBuilder(p)
+    chain = TietzeChain.of(p)
     content = list(range(len(p.relators)))
     budget = p.total_length() // 2
     moves_done = 0
     while True:
-        cur = builder.current
+        cur = chain.end
         over = [i for i in content if len(cur.relators[i]) > max_len]
         if not over:
             break
@@ -435,11 +421,10 @@ def break_relators(p: Presentation, max_len: int) -> TietzeChain:
             if projected > budget:
                 split = p_limit
         s = Word._trusted(r.letters[:split], cur.n_gens)
-        builder.apply(T1Move(s))
-        def_index = len(builder.current.relators) - 1
-        builder.apply(T4Move(i, "mul_left", def_index))
+        # T1 appends its definitional relator at index len(cur.relators)
+        chain = chain.then(T1Move(s)).then(T4Move(i, "mul_left", len(cur.relators)))
         moves_done += 1
-    return builder.chain()
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +471,11 @@ def random_move(p: Presentation, rng: random.Random) -> Move:
     return T4Move(i, "inv")
 
 
-def random_chain(start: Presentation, length: int, rng: random.Random) -> TietzeChain:
-    builder = ChainBuilder(start)
+def random_chain(chain: TietzeChain, length: int, rng: random.Random) -> TietzeChain:
+    """``chain`` extended by ``length`` moves of ``random_move``."""
     for _ in range(length):
-        builder.apply(random_move(builder.current, rng))
-    return builder.chain()
+        chain = chain.then(random_move(chain.end, rng))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +503,6 @@ def presentation_from_fields(fields, size: int) -> Presentation:
             raise ParseError(f"expected a 'relator:' line, got {key!r}: {value!r}")
         relators.append(parse_word(value, n))
     return Presentation(n, tuple(relators))
-
-
-def parse_presentation(text: str) -> Presentation:
-    return presentation_from_fields(read_fields(text)[0], len(text))
 
 
 def format_move(move: Move) -> str:
@@ -569,13 +550,13 @@ def parse_move(line: str, rank: int) -> Move:
 
 def replay_moves(start: Presentation, fields) -> TietzeChain:
     """Apply the move line of each 'move:' field in turn, from ``start``."""
-    builder = ChainBuilder(start)
+    chain = TietzeChain.of(start)
     for k, line in fields:
         if k != "move":
             raise ParseError(f"expected a move line, got {k!r}: {line!r}")
         try:
-            builder.apply(parse_move(line, builder.current.n_gens))
+            chain = chain.then(parse_move(line, chain.end.n_gens))
         except MoveError as exc:
             raise ParseError(f"move {line!r} does not apply: {exc}") from None
-    return builder.chain()
+    return chain
 

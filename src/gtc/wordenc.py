@@ -76,11 +76,14 @@ def algorithm1(
 
 @dataclass(frozen=True)
 class DisguisedGroup:
-    """A published presentation plus the private chain back to its seed."""
+    """A private chain from a seed presentation to the published one, its end."""
 
-    public: Presentation
     chain: TietzeChain
     kind: str  # "trivial" | "free"
+
+    @property
+    def public(self) -> Presentation:
+        return self.chain.end
 
     def is_trivial_word(self, w: Word) -> bool:
         """Exact word problem for the published presentation."""
@@ -91,8 +94,14 @@ class DisguisedGroup:
 
 @dataclass(frozen=True)
 class TrickTreatPrivate:
-    trivial_index: int  # 1 or 2, position of the trivial presentation
+    """One trivial and one free side, in the published order."""
+
     sides: tuple[DisguisedGroup, DisguisedGroup]
+
+    @property
+    def trivial_index(self) -> int:
+        """1 or 2, the position of the trivial presentation."""
+        return 1 if self.sides[0].kind == "trivial" else 2
 
     @property
     def infinite_index(self) -> int:
@@ -101,8 +110,11 @@ class TrickTreatPrivate:
 
 @dataclass(frozen=True)
 class TrickTreatKey:
-    publics: tuple[Presentation, Presentation]
     private: TrickTreatPrivate
+
+    @property
+    def publics(self) -> tuple[Presentation, Presentation]:
+        return self.private.sides[0].public, self.private.sides[1].public
 
 
 @dataclass(frozen=True)
@@ -122,19 +134,12 @@ def trick_treat_keygen(r: int, chain_len: int, rng: random.Random) -> TrickTreat
     of rank r, in random order; only the private half knows which."""
     if r < 2:
         raise RangeError("need rank >= 2")
-    free_chain = random_chain(seed_presentation("free", r), chain_len, rng)
-    disguised_free = DisguisedGroup(free_chain.end, free_chain, kind="free")
-    trivial_chain = random_chain(seed_presentation("trivial", r), chain_len, rng)
-    disguised_trivial = DisguisedGroup(trivial_chain.end, trivial_chain, kind="trivial")
-    if rng.random() < 0.5:
-        sides = (disguised_trivial, disguised_free)
-        trivial_index = 1
-    else:
-        sides = (disguised_free, disguised_trivial)
-        trivial_index = 2
-    return TrickTreatKey(
-        (sides[0].public, sides[1].public), TrickTreatPrivate(trivial_index, sides)
-    )
+    free, trivial = [
+        DisguisedGroup(random_chain(TietzeChain.of(seed_presentation(k, r)), chain_len, rng), k)
+        for k in ("free", "trivial")
+    ]
+    sides = (trivial, free) if rng.random() < 0.5 else (free, trivial)
+    return TrickTreatKey(TrickTreatPrivate(sides))
 
 
 def trick_treat_encrypt(
@@ -216,20 +221,17 @@ class TrickTreatStats:
 
 
 def run_trick_treat_trials(
-    trials: int,
-    seed: int,
-    r: int = 2,
-    chain_len: int = 6,
-    len_range: tuple[int, int] = (16, 24),
+    trials: int, seed: int, len_range: tuple[int, int] = (16, 24)
 ) -> TrickTreatStats:
-    """Monte-Carlo harness: fresh key, random bit, encrypt, legitimate
-    decrypt, and the emulation attack, per trial."""
+    """Monte-Carlo harness: fresh key (rank 2, 6 moves a side, the
+    ``wp-encrypt`` defaults), random bit, encrypt, legitimate decrypt, and
+    the emulation attack, per trial."""
     eve_correct = 0
     legit_correct = 0
     case_counts: dict = {}
     for trial in range(trials):
         rng = substream(seed, trial)
-        key = trick_treat_keygen(r, chain_len, rng)
+        key = trick_treat_keygen(2, 6, rng)
         bit = rng.randrange(2)
         ct = trick_treat_encrypt(bit, key.publics, len_range, rng)
         if trick_treat_decrypt(ct, key.private) == bit:

@@ -43,9 +43,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
 
 def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Letters of the formal inverse: reversed, each sign flipped."""

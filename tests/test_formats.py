@@ -22,13 +22,14 @@ from gtc.platforms import (block_commuting_subgroups, direct_factor_subgroups, p
 from gtc.problems import parse_instance
 from gtc.protocols import parse_transcript, serialize_transcript
 from gtc.tietze import (
+    TietzeChain,
     format_map,
     format_move,
     format_presentation,
     parse_map,
     parse_move,
-    parse_presentation,
     presentation,
+    presentation_from_fields,
     random_chain,
     replay_moves,
 )
@@ -101,7 +102,7 @@ _HOM = homenc.hom_keygen(homenc.worked_example_presentation(),
                          homenc.worked_example_faithful(), 3, 1, random.Random(5))
 
 READERS = {
-    "presentation": parse_presentation,
+    "presentation": lambda text: presentation_from_fields(read_fields(text)[0], len(text)),
     "transcript": parse_transcript,
     "instance": parse_instance,
     "gens": _read_gens,
@@ -141,8 +142,9 @@ def test_transcript_roundtrip(seed, protocol, tmp_path_factory):
 def test_presentation_chain_move_and_map_roundtrip(seed, n, count):
     rng = random.Random(seed)
     p = presentation(n, [random_word(n, (0, 6), rng).letters for _ in range(count)])
-    assert parse_presentation(format_presentation(p)) == p
-    chain = random_chain(p, 6, rng)
+    text = format_presentation(p)
+    assert presentation_from_fields(read_fields(text)[0], len(text)) == p
+    chain = random_chain(TietzeChain.of(p), 6, rng)
     assert replay_moves(p, [("move", format_move(m)) for m in chain.moves]) == chain
     current = p
     for move in chain.moves:
@@ -160,7 +162,7 @@ def test_trick_treat_key_roundtrip(seed, rank, chain_len):
     private_text = cli._format_trick_private(key)
     assert cli._parse_trick_public(public_text) == key.publics
     assert cli._parse_trick_private(private_text) == key.private
-    again = wordenc.TrickTreatKey(key.publics, cli._parse_trick_private(private_text))
+    again = wordenc.TrickTreatKey(cli._parse_trick_private(private_text))
     assert cli._format_trick_private(again) == private_text
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gtc import tietze
 from gtc.errors import KeygenError
 from gtc.homenc import (
     a5_faithful,
@@ -22,7 +23,7 @@ from gtc.homenc import (
 from gtc.platforms import PermutationPlatform, SubgroupGens, eval_word
 from gtc.rewriting import PairInsert
 from gtc.rng import substream
-from gtc.tietze import discard_relators, identity_map
+from gtc.tietze import TietzeChain, compose_maps, discard_relators, identity_map
 from gtc.words import Word, empty_word, free_reduce, random_word, serialize_word
 
 
@@ -56,7 +57,8 @@ def test_keygen_zero_chain_is_identity():
     )
     assert kp.public.phi == identity_map(3)
     assert kp.public.H_hat == worked_example_presentation()
-    assert kp.private.chain.moves == ()
+    assert kp.private.chain == TietzeChain.of(worked_example_presentation())
+    assert kp.private.H == worked_example_presentation()
     w = Word((1, 2, 1), 3)
     assert hom_encrypt(kp.public, w, 0, random.Random(0)) == free_reduce(w)
 
@@ -66,6 +68,24 @@ def test_keygen_replay_deterministic():
     b = hom_keygen(a5_presentation(), a5_faithful(), 6, 1, random.Random(5))
     assert a.public == b.public
     assert a.private == b.private
+
+
+def test_decrypt_composes_no_map_after_keygen(monkeypatch):
+    # hom_keygen composes phi_inv, so the first decryption pays nothing for it
+    calls = []
+
+    def counting(first, second):
+        calls.append(1)
+        return compose_maps(first, second)
+
+    monkeypatch.setattr(tietze, "compose_maps", counting)
+    kp = hom_keygen(a5_presentation(), a5_faithful(), 6, 1, random.Random(5))
+    composed = len(calls)
+    assert composed == 2 * len(kp.private.chain.moves)
+    plain = Word((1, 2, 1), 2)
+    ct = hom_encrypt(kp.public, plain, 4, random.Random(6))
+    assert hom_decrypt(kp, ct) == eval_faithful(kp.public, plain)
+    assert len(calls) == composed
 
 
 def test_keygen_discard_guard():

@@ -10,13 +10,13 @@ from gtc.errors import MoveError, ParseError, RankError
 from gtc.homenc import worked_example_chain, worked_example_faithful, worked_example_presentation
 from gtc.platforms import SubgroupGens, eval_word
 from gtc.tietze import (
-    ChainBuilder,
     GenMap,
     Presentation,
     T1Move,
     T2Move,
     T3Move,
     T4Move,
+    TietzeChain,
     apply_map,
     break_relators,
     compose_chain,
@@ -27,13 +27,13 @@ from gtc.tietze import (
     format_presentation,
     identity_map,
     parse_move,
-    parse_presentation,
     presentation,
+    presentation_from_fields,
     random_chain,
     random_move,
     replay_moves,
 )
-from gtc.words import Word, free_reduce, random_word, serialize_word
+from gtc.words import Word, free_reduce, random_word, read_fields, serialize_word
 
 
 def example_g():
@@ -165,7 +165,8 @@ def test_worked_example_chain_maps():
 
 
 def test_empty_chain_gives_identity_maps():
-    chain = ChainBuilder(example_g()).chain()
+    chain = TietzeChain.of(example_g())
+    assert chain.start == chain.end and chain.moves == chain.steps == ()
     assert chain.phi == identity_map(3)
     assert chain.phi_inv == identity_map(3)
 
@@ -199,7 +200,7 @@ def test_random_chains_invert_through_faithful_evaluation():
     base = example_g()
     for seed in range(500):
         rng = random.Random(seed)
-        chain = random_chain(base, rng.randint(1, 6), rng)
+        chain = random_chain(TietzeChain.of(base), rng.randint(1, 6), rng)
         w = random_word(3, (0, 8), rng)
         mapped = apply_map(chain.phi, w)
         back = apply_map(chain.phi_inv, mapped)
@@ -237,11 +238,10 @@ def test_break_relators_properties():
         assert all(len(r) <= limit for r in chain.end.relators)
         assert chain.end.total_length() <= 2 * p.total_length()
         # chain replays to the same end presentation exactly
-        replayed = ChainBuilder(p)
+        replayed = TietzeChain.of(p)
         for move in chain.moves:
-            replayed.apply(move)
-        assert replayed.current == chain.end
-        assert replayed.chain().phi == chain.phi
+            replayed = replayed.then(move)
+        assert replayed == chain
 
 
 def test_break_relators_power_relator_budget():
@@ -310,7 +310,7 @@ def test_move_line_roundtrip():
 def test_presentation_file_roundtrip():
     p = example_g()
     text = format_presentation(p)
-    assert parse_presentation(text) == p
+    assert presentation_from_fields(read_fields(text)[0], len(text)) == p
     assert "generators: 3" in text
 
 
@@ -340,27 +340,29 @@ def test_random_chain_invariants_and_lazy_maps(data):
     letter = st.integers(-n, n).filter(bool)
     relators = data.draw(st.lists(st.lists(letter, max_size=8), max_size=3))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    builder = ChainBuilder(presentation(n, relators))
+    chain = TietzeChain.of(presentation(n, relators))
     phi = phi_inv = identity_map(n)
     for _ in range(data.draw(st.integers(0, 12))):
-        cur = builder.current
-        last = builder.moves[-1] if builder.moves else None
+        cur = chain.end
+        last = chain.moves[-1] if chain.moves else None
         if isinstance(last, T1Move) and rng.random() < 0.4:
             # the definitional relator of the newest generator cancels it
             move = T2Move(len(cur.relators) - 1, cur.n_gens)
         else:
             move = random_move(cur, rng)
-        builder.apply(move)
-        fwd, bwd = builder.steps[-1]
+        longer = chain.then(move)
+        # then leaves the chain it extends as it was
+        assert chain.end == cur and len(longer.moves) == len(chain.moves) + 1
+        chain = longer
+        fwd, bwd = chain.steps[-1]
         phi = compose_maps(phi, fwd)
         phi_inv = compose_maps(bwd, phi_inv)
-        q = builder.current
+        q = chain.end
         assert Presentation(q.n_gens, q.relators) == q
         for m in (fwd, bwd):
             assert GenMap(m.from_gens, m.to_gens, m.images) == m
         for w in q.relators + fwd.images + bwd.images:
             _assert_valid(w)
-    chain = builder.chain()
     assert chain.phi == phi
     assert chain.phi_inv == phi_inv
     for w in chain.phi.images + chain.phi_inv.images:
@@ -375,7 +377,7 @@ def test_chain_maps_are_composed_on_first_read(monkeypatch):
         return compose_maps(first, second)
 
     monkeypatch.setattr(tietze, "compose_maps", counting)
-    chain = random_chain(presentation(2, [[1, 2, -1, -2]]), 8, random.Random(3))
+    chain = random_chain(TietzeChain.of(presentation(2, [[1, 2, -1, -2]])), 8, random.Random(3))
     assert calls == []
     phi_inv = chain.phi_inv
     assert len(calls) == len(chain.moves)
