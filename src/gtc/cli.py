@@ -405,8 +405,7 @@ def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc
     kept = tuple(r for i, r in enumerate(chain.end.relators) if i not in indices)
     if G != public.G or chain.phi != public.phi or kept != public.H_hat.relators:
         raise ParseError("private key does not match the public key")
-    private = homenc.HomomorphicPrivateKey(chain.phi_inv, chain, indices)
-    return homenc.HomomorphicKeyPair(public, private)
+    return homenc.HomomorphicKeyPair.of(public, chain, indices)
 
 
 def cmd_hom(args) -> int:

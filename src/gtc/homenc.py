@@ -5,7 +5,10 @@ from G to H and publishes the composed generator map plus H with some
 relators discarded.  Encryption pushes a plaintext word through the
 public map and randomizes it inside the published presentation;
 decryption applies the private inverse map and canonicalizes in a fixed
-permutation evaluation of G, which is the plaintext's normal form.
+permutation evaluation of G, which is the plaintext's normal form.  Both
+steps are homomorphisms, so each key pair tabulates their composite on
+the generators of H once, and a decryption is one permutation product
+per ciphertext letter.
 """
 
 from __future__ import annotations
@@ -67,8 +70,20 @@ class HomomorphicPrivateKey:
 
 @dataclass(frozen=True)
 class HomomorphicKeyPair:
+    """``decryption`` holds the faithful image of phi_inv of each generator
+    of H; ``of`` builds it with the pair, never at the first decryption."""
+
     public: HomomorphicPublicKey
     private: HomomorphicPrivateKey
+    decryption: SubgroupGens
+
+    @classmethod
+    def of(cls, public: HomomorphicPublicKey, chain: TietzeChain, discarded) -> HomomorphicKeyPair:
+        phi_inv = chain.phi_inv
+        images = tuple(eval_faithful(public, img) for img in phi_inv.images)
+        decryption = SubgroupGens(images[0].platform, images)
+        decryption.letter_table  # each inverse image now, not in a decryption
+        return cls(public, HomomorphicPrivateKey(phi_inv, chain, discarded), decryption)
 
 
 def check_faithful_images(G: Presentation, images: tuple[Element, ...]) -> None:
@@ -102,10 +117,8 @@ def hom_keygen(
     discarded = frozenset(rng.sample(range(len(H.relators)), discard_count))
     keep = set(range(len(H.relators))) - discarded
     H_hat = discard_relators(H, keep) if keep else H
-    return HomomorphicKeyPair(
-        HomomorphicPublicKey(chain.phi, G, H_hat, faithful),
-        HomomorphicPrivateKey(chain.phi_inv, chain, discarded),
-    )
+    public = HomomorphicPublicKey(chain.phi, G, H_hat, faithful)
+    return HomomorphicKeyPair.of(public, chain, discarded)
 
 
 def randomize_word(
@@ -156,11 +169,11 @@ def eval_faithful(pk: HomomorphicPublicKey, w: Word) -> Element:
 
 
 def hom_decrypt(keys: HomomorphicKeyPair, ct: Word) -> Element:
-    """Private inverse map followed by the faithful evaluation."""
+    """Private inverse map followed by the faithful evaluation, read from
+    the pair's table: equal to ``eval_faithful(pk, apply_map(phi_inv, ct))``."""
     if ct.rank > keys.private.phi_inv.from_gens:
         raise RankError("ciphertext is not over the published alphabet")
-    w = apply_map(keys.private.phi_inv, Word(ct.letters, keys.private.phi_inv.from_gens))
-    return eval_faithful(keys.public, w)
+    return eval_word(keys.decryption, ct)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +216,8 @@ def worked_example_keypair() -> HomomorphicKeyPair:
     chain = worked_example_chain()
     discarded = frozenset({1})
     h_hat = discard_relators(chain.end, set(range(5)) - discarded)
-    return HomomorphicKeyPair(
-        HomomorphicPublicKey(chain.phi, chain.start, h_hat, worked_example_faithful()),
-        HomomorphicPrivateKey(chain.phi_inv, chain, discarded),
-    )
+    public = HomomorphicPublicKey(chain.phi, chain.start, h_hat, worked_example_faithful())
+    return HomomorphicKeyPair.of(public, chain, discarded)
 
 
 def worked_example_encryption() -> tuple[Word, list, Word]:

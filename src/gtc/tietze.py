@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import MoveError, ParseError, RankError
@@ -339,17 +339,6 @@ class TietzeChain:
         for _, bwd in self.steps:
             phi_inv = compose_maps(bwd, phi_inv)
         return phi_inv
-
-
-def compose_chain(chain: TietzeChain) -> tuple[GenMap, GenMap]:
-    """Replay the chain from its start; returns (phi, phi_inv).
-
-    Raises MoveError if the stored moves do not replay to the stored end.
-    """
-    replayed = reduce(TietzeChain.then, chain.moves, TietzeChain.of(chain.start))
-    if replayed.end != chain.end:
-        raise MoveError("chain replay does not reproduce the end presentation")
-    return replayed.phi, replayed.phi_inv
 
 
 def discard_relators(p: Presentation, keep) -> Presentation:

@@ -34,9 +34,11 @@ def algorithm1(
     Built from the empty word by inserting h h^-1 pairs and conjugated
     defining relators at random positions until the length lands in the
     requested range (the same range algorithm0 draws from, so the two
-    outputs are length-indistinguishable).  Every move size is checked
-    against a reachability table so the walk never strands outside the
-    range; LengthError means no combination of moves can reach it.
+    outputs are length-indistinguishable).  The pair moves offer sizes 2,
+    4 and 6, so a length is reachable exactly when it is even or at least
+    the smallest odd move size; every move is checked against that rule so
+    the walk never strands outside the range, and LengthError means no
+    combination of moves can reach it.
     """
     lo, hi = len_range
     if lo < 0 or hi < lo:
@@ -48,17 +50,16 @@ def algorithm1(
         (("relator", i, c), len(r) + 2 * c)
         for i, r in enumerate(pres.relators) for c in (0, 1, 2) if len(r) + 2 * c > 0
     ]
-    reachable = [True] + [False] * hi
-    for total in range(1, hi + 1):
-        reachable[total] = any(s <= total and reachable[total - s] for _, s in moves)
-    targets = [t for t in range(lo, hi + 1) if reachable[t]]
+    odd = min((s for _, s in moves if s % 2), default=hi + 1)
+    targets = [t for t in range(lo, hi + 1) if t % 2 == 0 or t >= odd]
     if not targets:
         raise LengthError(f"no insertion combination reaches [{lo}, {hi}]")
     target = targets[rng.randrange(len(targets))]
     w = empty_word(n)
     while len(w) < target:
         gap = target - len(w)
-        options = [move for move, s in moves if s <= gap and reachable[gap - s]]
+        options = [move for move, s in moves
+                   if s <= gap and ((gap - s) % 2 == 0 or gap - s >= odd)]
         choice = options[rng.randrange(len(options))]
         pos = rng.randint(0, len(w))
         if choice[0] == "pair":

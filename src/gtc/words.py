@@ -91,7 +91,7 @@ def random_word(rank: int, len_range: tuple[int, int], rng: random.Random) -> Wo
     for _ in range(length):
         v = rng.randrange(2 * rank)
         letters.append(v // 2 + 1 if v % 2 == 0 else -(v // 2 + 1))
-    return Word(tuple(letters), rank)
+    return Word._trusted(tuple(letters), rank)
 
 
 def random_reduced_word(rank: int, len_range: tuple[int, int], rng: random.Random) -> Word:
@@ -99,6 +99,8 @@ def random_reduced_word(rank: int, len_range: tuple[int, int], rng: random.Rando
     lo, hi = len_range
     if lo < 0 or hi < lo:
         raise RangeError(f"empty length range [{lo}, {hi}]")
+    if rank < 1:
+        raise RankError(f"rank must be positive, got {rank}")
     length = rng.randint(lo, hi)
     letters: list[int] = []
     while len(letters) < length:
@@ -107,7 +109,7 @@ def random_reduced_word(rank: int, len_range: tuple[int, int], rng: random.Rando
         if letters and letters[-1] == -letter:
             continue
         letters.append(letter)
-    return Word(tuple(letters), rank)
+    return Word._trusted(tuple(letters), rank)
 
 
 def serialize_word(w: Word) -> str:

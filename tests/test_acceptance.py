@@ -7,6 +7,7 @@ lines; every tolerance is pinned here, nothing is calibrated elsewhere.
 import hashlib
 import random
 import time
+from functools import reduce
 
 from gtc.attacks import (
     attack_decomposition_normal,
@@ -56,7 +57,7 @@ from gtc.protocols import (
     twisted_exchange,
 )
 from gtc.rng import substream
-from gtc.tietze import break_relators, compose_chain, format_map
+from gtc.tietze import TietzeChain, break_relators, format_map
 from gtc.wordenc import run_trick_treat_trials
 from gtc.words import Word
 
@@ -68,7 +69,9 @@ def report(criterion, text):
 def test_criterion_01_worked_example_isomorphism_golden():
     start = time.monotonic()
     chain = worked_example_chain()
-    phi, phi_inv = compose_chain(chain)
+    replayed = reduce(TietzeChain.then, chain.moves, TietzeChain.of(chain.start))
+    assert replayed.end == chain.end
+    phi, phi_inv = replayed.phi, replayed.phi_inv
     assert format_map(phi) == "map: 1 -> 5\nmap: 2 -> 2\nmap: 3 -> 3"
     assert format_map(phi_inv) == (
         "map: 1 -> 1,2,2\nmap: 2 -> 2\nmap: 3 -> 3\n"

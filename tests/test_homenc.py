@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gtc import tietze
+from gtc import cli, homenc, tietze, words
 from gtc.errors import KeygenError
 from gtc.homenc import (
     a5_faithful,
@@ -24,7 +24,7 @@ from gtc.platforms import PermutationPlatform, SubgroupGens, eval_word
 from gtc.rewriting import PairInsert
 from gtc.rng import substream
 from gtc.tietze import TietzeChain, compose_maps, discard_relators, identity_map
-from gtc.words import Word, empty_word, free_reduce, random_word, serialize_word
+from gtc.words import Word, apply_map, empty_word, free_reduce, random_word, serialize_word
 
 
 def test_faithful_images_satisfy_relators():
@@ -84,8 +84,55 @@ def test_decrypt_composes_no_map_after_keygen(monkeypatch):
     assert composed == 2 * len(kp.private.chain.moves)
     plain = Word((1, 2, 1), 2)
     ct = hom_encrypt(kp.public, plain, 4, random.Random(6))
-    assert hom_decrypt(kp, ct) == eval_faithful(kp.public, plain)
+    assert len(ct) > 1
+    # nor does it expand the ciphertext: one permutation product per letter after the first
+    maps, products = [], []
+
+    def counting_map(m, w):
+        maps.append(1)
+        return apply_map(m, w)
+
+    def counting_mul(self, x, y):
+        products.append(1)
+        return mul(self, x, y)
+
+    mul = PermutationPlatform.mul
+    monkeypatch.setattr(homenc, "apply_map", counting_map)
+    monkeypatch.setattr(words, "apply_map", counting_map)
+    monkeypatch.setattr(PermutationPlatform, "mul", counting_mul)
+    got = hom_decrypt(kp, ct)
+    assert (len(maps), len(products)) == (0, len(ct) - 1)
+    monkeypatch.undo()
+    assert got == eval_faithful(kp.public, plain)
     assert len(calls) == composed
+
+
+def _decryption_keys():
+    """Key pairs of every kind of origin, named for the test ids."""
+    demo = (worked_example_presentation(), worked_example_faithful())
+    a5 = (a5_presentation(), a5_faithful())
+    keys = {f"{name}-seed{seed}": hom_keygen(*group, 8, 1, random.Random(seed))
+            for name, group in (("demo", demo), ("a5", a5)) for seed in (1, 2, 3)}
+    keys["a5-chain0"] = hom_keygen(*a5, 0, 0, random.Random(0))
+    keys["worked-example"] = worked_example_keypair()
+    kp = hom_keygen(*demo, 5, 2, random.Random(9))
+    public = cli._parse_hom_public(cli._format_hom_public(kp.public))
+    keys["cli-reader"] = cli._parse_hom_private(cli._format_hom_private(kp), public)
+    return keys
+
+
+_KEYS = _decryption_keys()
+
+
+@pytest.mark.parametrize("kp", list(_KEYS.values()), ids=list(_KEYS))
+def test_decryption_table_equals_inverse_map_then_evaluation(kp):
+    n = kp.private.H.n_gens
+    rng = substream(29, n)
+    cts = [empty_word(n)] + [Word((s * i,), n) for i in range(1, n + 1) for s in (1, -1)]
+    cts += [random_word(n, (0, 20), rng) for _ in range(200)]  # unreduced
+    for ct in cts:
+        expected = eval_faithful(kp.public, apply_map(kp.private.phi_inv, ct))
+        assert hom_decrypt(kp, ct) == expected, serialize_word(ct)
 
 
 def test_keygen_discard_guard():
