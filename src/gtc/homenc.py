@@ -7,8 +7,8 @@ public map and randomizes it inside the published presentation;
 decryption applies the private inverse map and canonicalizes in a fixed
 permutation evaluation of G, which is the plaintext's normal form.  Both
 steps are homomorphisms, so each key pair tabulates their composite on
-the generators of H once, and a decryption is one permutation product
-per ciphertext letter.
+the generators of H once, and a decryption applies one permutation's
+left action (one itemgetter call) per ciphertext letter.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class HomomorphicPrivateKey:
 @dataclass(frozen=True)
 class HomomorphicKeyPair:
     """``decryption`` holds the faithful image of phi_inv of each generator
-    of H; ``of`` builds it with the pair, never at the first decryption."""
+    of H and their left actions; ``of`` builds both with the pair, never at
+    the first decryption."""
 
     public: HomomorphicPublicKey
     private: HomomorphicPrivateKey
@@ -82,7 +83,7 @@ class HomomorphicKeyPair:
         phi_inv = chain.phi_inv
         images = tuple(eval_faithful(public, img) for img in phi_inv.images)
         decryption = SubgroupGens(images[0].platform, images)
-        decryption.letter_table  # each inverse image now, not in a decryption
+        decryption.left_table  # each inverse image and its action now, not in a decryption
         return cls(public, HomomorphicPrivateKey(phi_inv, chain, discarded), decryption)
 
 
@@ -127,10 +128,8 @@ def randomize_word(
     """Rewrite w for ``steps`` moves without changing its element: insert
     h h^-1, insert a conjugated relator, or substitute across a relator
     occurrence.  Works on the raw word; no free reduction is applied."""
+    kinds = ["pair", "relator", "subst"] if pres.relators else ["pair"]
     for _ in range(steps):
-        kinds = ["pair"]
-        if pres.relators:
-            kinds += ["relator", "subst"]
         kind = rng.choice(kinds)
         if kind == "subst":
             move = random_substitution(w, pres, rng)
@@ -159,7 +158,7 @@ def hom_encrypt(
     """Apply the public map, then randomize inside the published group."""
     if w_g.rank > pk.phi.from_gens:
         raise RankError("plaintext word is not over G's alphabet")
-    ct = apply_map(pk.phi, Word(w_g.letters, pk.phi.from_gens))
+    ct = apply_map(pk.phi, w_g)
     return randomize_word(ct, pk.H_hat, randomize_steps, rng)
 
 
@@ -239,7 +238,7 @@ def worked_example_encryption() -> tuple[Word, list, Word]:
 
 def scripted_encrypt(pk: HomomorphicPublicKey, w_g: Word, moves) -> Word:
     """Deterministic encryption with an explicit move script."""
-    ct = apply_map(pk.phi, Word(w_g.letters, pk.phi.from_gens))
+    ct = apply_map(pk.phi, w_g)
     for move in moves:
         ct = move.apply(ct, pk.H_hat)
     return ct

@@ -4,9 +4,10 @@ Every kind implements the contract in the Platform docstring, and
 eval_word evaluates a Word over a list of generator Elements.  Payloads
 are always canonical: reduced words, residues in [1, p-1], bijective image
 tuples, matrices with entries reduced mod p, or pairs of reduced words
-for the direct product of two free groups.  Searches and eval_word step
-on payloads with the kind's mul and build Elements only for what they
-report or re-check.
+for the direct product of two free groups.  Searches step on payloads
+with the kind's mul, eval_word with each letter's left_mul (one itemgetter
+call per permutation product), and both build Elements only for what
+they report or re-check.
 
 All arithmetic is exact integer arithmetic; matrices over Z_p use the
 kernels of gtc.linalg.
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
-from operator import mul
+from functools import cached_property, partial
+from operator import itemgetter, mul
 from typing import Callable, Optional
 
 from .errors import ParseError, RankError, SamplingError, SetupError
@@ -90,9 +91,14 @@ class Platform:
     invert(a), generators(), element(...) (validated construction),
     random_element(rng), serialize_element(e) and _parse(text), its inverse,
     which parse_element wraps so that every error is a ParseError.
+    left_mul(y) is the map x -> mul(y, x) on payloads, which a kind may
+    override with a faster callable.
     """
 
     kind: str = "abstract"
+
+    def left_mul(self, y) -> Callable:
+        return partial(self.mul, y)
 
     def parse_element(self, text: str) -> Element:
         try:
@@ -226,6 +232,13 @@ class PermutationPlatform(Platform):
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         return tuple([y[i - 1] for i in x])
+
+    def left_mul(self, y: tuple) -> Callable:
+        """(y*x)(i) = x(y(i)), picked out of x by one itemgetter call (which
+        returns a bare int for one index; below degree 2 y is the identity)."""
+        if self.degree < 2:
+            return tuple
+        return itemgetter(*[i - 1 for i in y])
 
     def multiply(self, a: Element, b: Element) -> Element:
         return Element(self, self.mul(a.payload, b.payload))
@@ -454,6 +467,13 @@ class SubgroupGens:
             table[i], table[-i] = g.payload, self.platform.invert(g).payload
         return table
 
+    @cached_property
+    def left_table(self) -> dict:
+        """The platform's left_mul of each letter_table payload, which
+        eval_word applies right to left."""
+        left_mul = self.platform.left_mul
+        return {letter: left_mul(x) for letter, x in self.letter_table.items()}
+
     def contains(self, e: Element) -> Optional[bool]:
         """Structural membership; None when no test is available."""
         if self.structure is None:
@@ -502,13 +522,18 @@ def parse_gens(platform: Platform, text: str, structure: Optional[str] = None) -
 
 
 def eval_word(gens: SubgroupGens, w: Word) -> Element:
-    """Substitute gens[i-1] for letter i (inverse for negative letters)."""
+    """Substitute gens[i-1] for letter i (inverse for negative letters):
+    the last letter's payload, multiplied on the left by each earlier
+    letter's, right to left."""
     if w.rank > len(gens.gens):
         raise RankError(f"word rank {w.rank} exceeds {len(gens.gens)} generators")
-    platform = gens.platform
-    if not w.letters:
+    platform, letters = gens.platform, w.letters
+    if not letters:
         return platform.identity()
-    return Element(platform, reduce(platform.mul, map(gens.letter_table.__getitem__, w.letters)))
+    x = gens.letter_table[letters[-1]]
+    for left in map(gens.left_table.__getitem__, letters[-2::-1]):
+        x = left(x)
+    return Element(platform, x)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ inserting h h^-1, inserting a conjugated relator, or replacing a subword
 across a relator occurrence.  Used by the trivial-word sampler of the
 word-problem scheme and by ciphertext randomization.  Each move checks
 once that its words and relator share w's alphabet (RankError if not),
-then builds its result from letters in range by construction.
+then builds its result from letters in range by construction.  Only a
+substitution reads Presentation.relator_rotations (its first use builds
+it), so its legality check is one free reduction and a set lookup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import MoveError, RankError
 from .tietze import Presentation
-from .words import Word, inverse_letters, invert, is_cyclic_rotation_of_relator, multiply
+from .words import Word, cyclic_reduce, inverse_letters
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,9 @@ class Substitute:
             raise MoveError(f"no relator with index {self.rel_idx}")
         if pres.n_gens != w.rank or self.replacement.rank != w.rank:
             raise RankError(f"relator or replacement not over w's alphabet of rank {w.rank}")
-        old = Word._trusted(w.letters[self.pos: self.pos + self.old_len], w.rank)
-        relator = pres.relators[self.rel_idx]
-        if not is_cyclic_rotation_of_relator(
-            multiply(old, invert(self.replacement)), relator
-        ):
+        old = w.letters[self.pos: self.pos + self.old_len]
+        candidate = Word._trusted(old + inverse_letters(self.replacement.letters), w.rank)
+        if cyclic_reduce(candidate).letters not in pres.relator_rotations[self.rel_idx]:
             raise MoveError("replacement is not justified by the chosen relator")
         return Word._trusted(
             w.letters[: self.pos]

@@ -21,7 +21,9 @@ from .words import (
     GenMap,
     Word,
     apply_map,
+    cyclic_reduce,
     free_reduce,
+    inverse_letters,
     int_value,
     invert,
     multiply,
@@ -60,6 +62,18 @@ class Presentation:
 
     def total_length(self) -> int:
         return sum(len(r) for r in self.relators)
+
+    @cached_property
+    def relator_rotations(self) -> tuple[frozenset, ...]:
+        """For each relator, the letters of every rotation of its cyclic
+        reduction and of that word's inverse: the cyclically reduced words
+        conjugate in the free group to the relator or its inverse."""
+        table = []
+        for r in self.relators:
+            c = cyclic_reduce(r).letters
+            table.append(frozenset(t[i:] + t[:i] for t in (c, inverse_letters(c))
+                                   for i in range(max(len(t), 1))))
+        return tuple(table)
 
 
 def presentation(n_gens: int, relators) -> Presentation:

@@ -244,20 +244,3 @@ def cyclic_reduce(w: Word) -> Word:
         i += 1
         j -= 1
     return Word._trusted(letters[i:j], w.rank)
-
-
-def is_cyclic_rotation_of_relator(candidate: Word, relator: Word) -> bool:
-    """True if ``candidate`` is conjugate to the relator or its inverse in
-    the free group, i.e. replacing along ``relator`` is a valid rewrite.
-    Both sides are compared cyclically reduced."""
-    c = cyclic_reduce(candidate)
-    r = cyclic_reduce(relator)
-    for target in (r.letters, invert(r).letters):
-        if len(c.letters) != len(target):
-            continue
-        doubled = target + target
-        n = len(target)
-        for start in range(max(n, 1)):
-            if doubled[start:start + n] == c.letters:
-                return True
-    return False

@@ -72,13 +72,26 @@ def test_keygen_replay_deterministic():
 
 def test_decrypt_composes_no_map_after_keygen(monkeypatch):
     # hom_keygen composes phi_inv, so the first decryption pays nothing for it
-    calls = []
+    calls, actions, products = [], [], []
 
     def counting(first, second):
         calls.append(1)
         return compose_maps(first, second)
 
+    def counting_left_mul(self, y):
+        actions.append(1)
+        act = left_mul(self, y)
+
+        def counted(x):
+            products.append(1)
+            return act(x)
+
+        return counted
+
+    left_mul = PermutationPlatform.left_mul
     monkeypatch.setattr(tietze, "compose_maps", counting)
+    # the key pair builds its left actions at keygen, so they are counted from here on
+    monkeypatch.setattr(PermutationPlatform, "left_mul", counting_left_mul)
     kp = hom_keygen(a5_presentation(), a5_faithful(), 6, 1, random.Random(5))
     composed = len(calls)
     assert composed == 2 * len(kp.private.chain.moves)
@@ -86,22 +99,19 @@ def test_decrypt_composes_no_map_after_keygen(monkeypatch):
     ct = hom_encrypt(kp.public, plain, 4, random.Random(6))
     assert len(ct) > 1
     # nor does it expand the ciphertext: one permutation product per letter after the first
-    maps, products = [], []
+    maps = []
 
     def counting_map(m, w):
         maps.append(1)
         return apply_map(m, w)
 
-    def counting_mul(self, x, y):
-        products.append(1)
-        return mul(self, x, y)
-
-    mul = PermutationPlatform.mul
     monkeypatch.setattr(homenc, "apply_map", counting_map)
     monkeypatch.setattr(words, "apply_map", counting_map)
-    monkeypatch.setattr(PermutationPlatform, "mul", counting_mul)
+    actions.clear()
+    products.clear()
     got = hom_decrypt(kp, ct)
-    assert (len(maps), len(products)) == (0, len(ct) - 1)
+    # and builds no action: the pair made them all at keygen
+    assert (len(maps), len(actions), len(products)) == (0, 0, len(ct) - 1)
     monkeypatch.undo()
     assert got == eval_faithful(kp.public, plain)
     assert len(calls) == composed

@@ -426,3 +426,26 @@ def test_mul_is_the_product_that_multiply_and_eval_word_use(platform, seed, k, d
         g = gens.gens[abs(l) - 1]
         expected = platform.multiply(expected, g if l > 0 else platform.invert(g))
     assert eval_word(gens, Word(tuple(letters), k)) == expected
+
+
+# every kind, plus the degrees where a permutation's left action is not an itemgetter
+# of several indices
+LEFT_PLATFORMS = PRODUCT_PLATFORMS + [PermutationPlatform(1), PermutationPlatform(2)]
+
+
+@pytest.mark.parametrize("platform", LEFT_PLATFORMS, ids=lambda p: p.spec())
+def test_eval_word_is_the_left_fold_of_multiply(platform):
+    rng = random.Random(29)
+    gens = SubgroupGens(platform, tuple(platform.random_element(rng) for _ in range(2)))
+    for x, y in zip(gens.letter_table.values(), reversed(gens.letter_table.values())):
+        assert platform.left_mul(y)(x) == platform.mul(y, x)
+    words = [(), (1,), (-1,), (2,), (-2,)]
+    words += [tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 12)))
+              for _ in range(40)]
+    for letters in words:
+        expected = platform.identity()
+        for l in letters:
+            g = gens.gens[abs(l) - 1]
+            expected = platform.multiply(expected, g if l > 0 else platform.invert(g))
+        assert eval_word(gens, Word(letters, 2)) == expected
+

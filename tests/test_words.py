@@ -4,13 +4,13 @@ import pytest
 
 from gtc.errors import ParseError, RangeError, RankError
 from gtc.platforms import FreePlatform
+from gtc.tietze import Presentation
 from gtc.words import (
     Word,
     cyclic_reduce,
     empty_word,
     free_reduce,
     invert,
-    is_cyclic_rotation_of_relator,
     multiply,
     parse_word,
     random_word,
@@ -165,15 +165,28 @@ def test_cyclic_reduce():
     assert cyclic_reduce(w([1, 2])) == w([1, 2])
 
 
+def rotates(candidate, relator):
+    """Whether ``candidate`` cyclically reduces into the relator's row of
+    the rotation table of the presentation the relator alone defines."""
+    pres = Presentation(relator.rank, (relator,))
+    return cyclic_reduce(candidate).letters in pres.relator_rotations[0]
+
+
 def test_relator_rotation_check():
     relator = w([4, -5, -5], 6)
     # replacing x4 by x5^2 is justified: old * repl^-1 = the relator itself
-    assert is_cyclic_rotation_of_relator(
-        multiply(w([4], 6), invert(w([5, 5], 6))), relator
-    )
-    assert not is_cyclic_rotation_of_relator(w([4, 5], 6), relator)
+    assert rotates(multiply(w([4], 6), invert(w([5, 5], 6))), relator)
+    assert not rotates(w([4, 5], 6), relator)
     # conjugated relators justify the same replacements
     conj = conjugate(relator, w([2, 3], 6))
-    assert is_cyclic_rotation_of_relator(
-        multiply(w([4], 6), invert(w([5, 5], 6))), conj
-    )
+    assert rotates(multiply(w([4], 6), invert(w([5, 5], 6))), conj)
+    # each row holds every rotation of the relator and of its inverse, and nothing else
+    assert Presentation(3, (w([1, 2, 3]),)).relator_rotations == (frozenset(
+        {(1, 2, 3), (2, 3, 1), (3, 1, 2), (-3, -2, -1), (-2, -1, -3), (-1, -3, -2)}),)
+    # a relator that is not cyclically reduced: x1 x2 x1^-1 is conjugate to x2
+    pres = Presentation(3, (w([1, 2, -1]), w([1, -1]), w([2, 2])))
+    assert pres.relators[0] == w([1, 2, -1])
+    assert pres.relator_rotations == (
+        frozenset({(2,), (-2,)}), frozenset({()}), frozenset({(2, 2), (-2, -2)}))
+    assert rotates(w([3, 2, -3]), w([1, 2, -1]))
+    assert not rotates(w([1, 2, -1, 2]), w([1, 2, -1]))
