@@ -19,7 +19,7 @@ from types import SimpleNamespace
 # imported here; each command imports the layers it runs, and argparse is
 # imported only for help and usage errors, so a process pays only for the
 # subcommand it was given.
-from .errors import GtcError, ParseError, SetupError
+from .errors import GtcError, KeygenError, ParseError, SetupError
 from .rng import stream
 from .words import Word, int_value, one_field, parse_word, read_fields, serialize_word
 
@@ -376,7 +376,12 @@ def _parse_hom_public(text: str) -> homenc.HomomorphicPublicKey:
         raise ParseError("[phi] and [faithful] need one line per generator of G")
     if len({img.platform for img in faithful}) != 1:
         raise ParseError("the [faithful] permutations must share one degree")
-    return homenc.HomomorphicPublicKey(phi, G, H_hat, tuple(faithful))
+    pk = homenc.HomomorphicPublicKey(phi, G, H_hat, tuple(faithful))
+    try:
+        homenc.check_faithful_images(pk)
+    except KeygenError as exc:
+        raise ParseError(f"[faithful]: {exc}") from None
+    return pk
 
 
 def _format_hom_private(kp: homenc.HomomorphicKeyPair) -> str:
@@ -401,9 +406,7 @@ def _parse_hom_private(text: str, public: homenc.HomomorphicPublicKey) -> homenc
     raw = discarded[0][1]
     last = len(chain.end.relators) - 1
     indices = frozenset(int_value("indices", v, 0, last) for v in raw.split() if raw != "-")
-    # an equal phi has the same target alphabet, so H-hat is matched whole
-    kept = tuple(r for i, r in enumerate(chain.end.relators) if i not in indices)
-    if G != public.G or chain.phi != public.phi or kept != public.H_hat.relators:
+    if homenc.HomomorphicPublicKey.of(chain, indices, public.faithful) != public:
         raise ParseError("private key does not match the public key")
     return homenc.HomomorphicKeyPair.of(public, chain, indices)
 

@@ -46,6 +46,11 @@ class HomomorphicPublicKey:
     H_hat: Presentation
     faithful: tuple[Element, ...]  # permutation image of each G generator
 
+    @classmethod
+    def of(cls, chain: TietzeChain, withheld, faithful) -> HomomorphicPublicKey:
+        """The chain's phi and start G, and its end H less the ``withheld`` relators."""
+        return cls(chain.phi, chain.start, discard_relators(chain.end, withheld), faithful)
+
     @cached_property
     def faithful_gens(self) -> SubgroupGens:
         """The faithful images as a generator list; its letter table, and
@@ -56,10 +61,8 @@ class HomomorphicPublicKey:
 @dataclass(frozen=True)
 class HomomorphicPrivateKey:
     """The chain from G to H (H is its end) and the relators of H withheld
-    from H-hat; ``phi_inv``, the chain's inverse map, is composed at keygen
-    so that no decryption composes a map."""
+    from H-hat; ``phi_inv`` is the chain's cached inverse map."""
 
-    phi_inv: GenMap
     chain: TietzeChain
     discarded: frozenset
 
@@ -67,12 +70,16 @@ class HomomorphicPrivateKey:
     def H(self) -> Presentation:
         return self.chain.end
 
+    @property
+    def phi_inv(self) -> GenMap:
+        return self.chain.phi_inv
+
 
 @dataclass(frozen=True)
 class HomomorphicKeyPair:
     """``decryption`` holds the faithful image of phi_inv of each generator
-    of H and their left actions; ``of`` builds both with the pair, never at
-    the first decryption."""
+    of H and their left actions; ``of`` checks the faithful images and
+    builds both with the pair, never at the first decryption."""
 
     public: HomomorphicPublicKey
     private: HomomorphicPrivateKey
@@ -80,22 +87,20 @@ class HomomorphicKeyPair:
 
     @classmethod
     def of(cls, public: HomomorphicPublicKey, chain: TietzeChain, discarded) -> HomomorphicKeyPair:
-        phi_inv = chain.phi_inv
-        images = tuple(eval_faithful(public, img) for img in phi_inv.images)
+        check_faithful_images(public)
+        images = tuple(eval_faithful(public, img) for img in chain.phi_inv.images)
         decryption = SubgroupGens(images[0].platform, images)
         decryption.left_table  # each inverse image and its action now, not in a decryption
-        return cls(public, HomomorphicPrivateKey(phi_inv, chain, discarded), decryption)
+        return cls(public, HomomorphicPrivateKey(chain, discarded), decryption)
 
 
-def check_faithful_images(G: Presentation, images: tuple[Element, ...]) -> None:
-    """Every relator must evaluate to the identity permutation."""
-    if len(images) != G.n_gens:
+def check_faithful_images(pk: HomomorphicPublicKey) -> None:
+    """Every relator of G must evaluate to the identity permutation."""
+    if len(pk.faithful) != pk.G.n_gens:
         raise KeygenError("need one permutation image per generator")
-    platform = images[0].platform
-    gens = SubgroupGens(platform, images)
-    for r in G.relators:
-        if eval_word(gens, r) != platform.identity():
-            raise KeygenError("images do not satisfy the relators")
+    identity = pk.faithful[0].platform.identity()
+    if any(eval_faithful(pk, r) != identity for r in pk.G.relators):
+        raise KeygenError("images do not satisfy the relators")
 
 
 def hom_keygen(
@@ -107,18 +112,15 @@ def hom_keygen(
 ) -> HomomorphicKeyPair:
     """Private chain = relator breaking (to length 3) plus ``chain_len``
     random moves; then ``discard_count`` random relators are withheld."""
-    check_faithful_images(G, faithful)
     if chain_len > 0:
         chain = random_chain(break_relators(G, 3), chain_len, rng)
     else:
         chain = TietzeChain.of(G)
-    H = chain.end
-    if discard_count >= len(H.relators) and discard_count > 0:
+    n_rels = len(chain.end.relators)
+    if discard_count >= n_rels and discard_count > 0:
         raise KeygenError("cannot discard that many relators")
-    discarded = frozenset(rng.sample(range(len(H.relators)), discard_count))
-    keep = set(range(len(H.relators))) - discarded
-    H_hat = discard_relators(H, keep) if keep else H
-    public = HomomorphicPublicKey(chain.phi, G, H_hat, faithful)
+    discarded = frozenset(rng.sample(range(n_rels), discard_count))
+    public = HomomorphicPublicKey.of(chain, discarded, faithful)
     return HomomorphicKeyPair.of(public, chain, discarded)
 
 
@@ -170,7 +172,7 @@ def eval_faithful(pk: HomomorphicPublicKey, w: Word) -> Element:
 def hom_decrypt(keys: HomomorphicKeyPair, ct: Word) -> Element:
     """Private inverse map followed by the faithful evaluation, read from
     the pair's table: equal to ``eval_faithful(pk, apply_map(phi_inv, ct))``."""
-    if ct.rank > keys.private.phi_inv.from_gens:
+    if ct.rank > keys.private.H.n_gens:
         raise RankError("ciphertext is not over the published alphabet")
     return eval_word(keys.decryption, ct)
 
@@ -214,8 +216,7 @@ def worked_example_keypair() -> HomomorphicKeyPair:
     the four relators used by the scripted randomization."""
     chain = worked_example_chain()
     discarded = frozenset({1})
-    h_hat = discard_relators(chain.end, set(range(5)) - discarded)
-    public = HomomorphicPublicKey(chain.phi, chain.start, h_hat, worked_example_faithful())
+    public = HomomorphicPublicKey.of(chain, discarded, worked_example_faithful())
     return HomomorphicKeyPair.of(public, chain, discarded)
 
 

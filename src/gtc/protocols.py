@@ -403,14 +403,11 @@ class InnerAutomorphism:
 
     def __init__(self, platform: Platform, h: Element) -> None:
         try:
-            self.h_inv = platform.invert(h)
+            platform.invert(h)
         except ValueError:
             raise SetupError("h must be invertible") from None
         self.platform = platform
         self.h = h
-
-    def apply(self, e: Element) -> Element:
-        return self.platform.multiply(self.platform.multiply(self.h_inv, e), self.h)
 
     def semidirect_powers(self, g: Element):
         """power(m) -> (first component of (g, phi)^m, phi^m).

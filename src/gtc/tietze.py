@@ -355,15 +355,12 @@ class TietzeChain:
         return phi_inv
 
 
-def discard_relators(p: Presentation, keep) -> Presentation:
-    """Keep only the relators whose indices are in ``keep``."""
-    keep_set = set(keep)
-    if not keep_set:
-        raise MoveError("keep set must be nonempty")
-    if not keep_set <= set(range(len(p.relators))):
-        raise MoveError("keep set references missing relators")
+def discard_relators(p: Presentation, withheld) -> Presentation:
+    """``p`` less the relators whose indices are in the set ``withheld``."""
+    if any(not 0 <= i < len(p.relators) for i in withheld):
+        raise MoveError("withheld set references missing relators")
     return Presentation._trusted(
-        p.n_gens, tuple(r for i, r in enumerate(p.relators) if i in keep_set)
+        p.n_gens, tuple(r for i, r in enumerate(p.relators) if i not in withheld)
     )
 
 

@@ -360,10 +360,13 @@ def test_bad_trick_private_key_exits_2(files, capsys, old, new, message):
     ("perm: 1 4 3 5 2", "perm: 1 4 3 2", "share one degree"),
     ("[phi]", "[psi]", "sections"),
     ("perm: 2 1 4 3 5", "perm: 2 1 4 3 3", "not a permutation"),
+    # an image of order 3 for x2 breaks the relator x1^2 x2^3
+    ("perm: 3 2 5 4 1", "perm: 2 3 1 4 5", "images do not satisfy the relators"),
 ])
 def test_bad_hom_public_key_exits_2(files, capsys, old, new, message):
     _edit(files["hpub"], old, new)
     _exits_2(_commands(files)["hpub"], capsys, message)
+    _exits_2(["hom", "encrypt", "--pub", files["hpub"], "--seed", "1"], capsys, message)
 
 
 @pytest.mark.parametrize("old,new,message", [

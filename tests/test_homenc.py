@@ -1,10 +1,16 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtc import cli, homenc, tietze, words
 from gtc.errors import KeygenError
 from gtc.homenc import (
+    HomomorphicKeyPair,
+    HomomorphicPrivateKey,
+    HomomorphicPublicKey,
     a5_faithful,
     a5_presentation,
     check_faithful_images,
@@ -23,20 +29,73 @@ from gtc.homenc import (
 from gtc.platforms import PermutationPlatform, SubgroupGens, eval_word
 from gtc.rewriting import PairInsert
 from gtc.rng import substream
-from gtc.tietze import TietzeChain, compose_maps, discard_relators, identity_map
+from gtc.tietze import (
+    Presentation,
+    TietzeChain,
+    break_relators,
+    compose_maps,
+    discard_relators,
+    identity_map,
+    random_chain,
+)
 from gtc.words import Word, apply_map, empty_word, free_reduce, random_word, serialize_word
 
 
+def _public_on_g(G, faithful):
+    """The public key of the empty chain on G, withholding nothing."""
+    return HomomorphicPublicKey.of(TietzeChain.of(G), frozenset(), faithful)
+
+
 def test_faithful_images_satisfy_relators():
-    check_faithful_images(worked_example_presentation(), worked_example_faithful())
-    check_faithful_images(a5_presentation(), a5_faithful())
+    check_faithful_images(_public_on_g(worked_example_presentation(), worked_example_faithful()))
+    check_faithful_images(_public_on_g(a5_presentation(), a5_faithful()))
 
 
 def test_faithful_images_rejected_when_wrong():
     s5 = PermutationPlatform(5)
     bad = (s5.element((2, 3, 1, 4, 5)),) * 3  # order 3, breaks x1^2 x2^3
     with pytest.raises(KeygenError):
-        check_faithful_images(worked_example_presentation(), bad)
+        check_faithful_images(_public_on_g(worked_example_presentation(), bad))
+    with pytest.raises(KeygenError, match="one permutation image per generator"):
+        check_faithful_images(_public_on_g(worked_example_presentation(), bad[:2]))
+
+
+def test_key_pair_rejects_faithful_images_that_break_a_relator():
+    kp = worked_example_keypair()
+    a, b, c = kp.public.faithful
+    public = dataclasses.replace(kp.public, faithful=(b, a, c))  # b^2 a^3 = b^-1 a != e
+    with pytest.raises(KeygenError, match="do not satisfy the relators"):
+        HomomorphicKeyPair.of(public, kp.private.chain, kp.private.discarded)
+
+
+def test_private_key_holds_only_its_chain_and_withheld_set():
+    kp = hom_keygen(a5_presentation(), a5_faithful(), 6, 1, random.Random(5))
+    assert [f.name for f in dataclasses.fields(HomomorphicPrivateKey)] == ["chain", "discarded"]
+    assert kp.private.phi_inv is kp.private.chain.phi_inv
+
+
+def _public_by_complement(chain, withheld, faithful):
+    """The derivation the key builders used before ``HomomorphicPublicKey.of``:
+    H-hat holds the complement of the withheld set, or is H when that is empty."""
+    H = chain.end
+    keep = set(range(len(H.relators))) - withheld
+    kept = tuple(r for i, r in enumerate(H.relators) if i in keep)
+    H_hat = Presentation(H.n_gens, kept) if keep else H
+    return HomomorphicPublicKey(chain.phi, chain.start, H_hat, faithful)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), group=st.sampled_from(["demo", "a5"]), seed=st.integers(0, 10**6),
+       chain_len=st.integers(0, 8))
+def test_public_key_of_equals_the_complement_derivation(data, group, seed, chain_len):
+    G, faithful = ((worked_example_presentation(), worked_example_faithful()) if group == "demo"
+                   else (a5_presentation(), a5_faithful()))
+    chain = random_chain(break_relators(G, 3), chain_len, random.Random(seed))
+    n = len(chain.end.relators)
+    # the old derivation read an empty keep set as all of H; hom_keygen never withholds every relator
+    withheld = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    assert HomomorphicPublicKey.of(chain, withheld, faithful) == _public_by_complement(
+        chain, withheld, faithful)
 
 
 def test_a5_has_order_sixty_generators():
@@ -153,7 +212,7 @@ def test_keygen_discard_guard():
 def test_worked_example_h_hat_discard():
     chain = worked_example_chain()
     kp = worked_example_keypair()
-    assert kp.public.H_hat == discard_relators(chain.end, {0, 2, 3, 4})
+    assert kp.public.H_hat == discard_relators(chain.end, {1})
     assert kp.private.discarded == frozenset({1})
 
 

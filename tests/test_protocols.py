@@ -6,6 +6,7 @@ from gtc.errors import ParseError, SetupError
 from gtc.platforms import (
     CyclicModP,
     DirectFreePlatform,
+    Element,
     FreePlatform,
     MatrixModP,
     SubgroupGens,
@@ -361,7 +362,7 @@ def test_semidirect_m_n_one():
     assert out.agreed
     # both send g itself; the key is phi(g) * g
     assert out.transcript.records[0].payload == platform.serialize_element(g)
-    assert out.key_alice == platform.multiply(phi.apply(g), g)
+    assert out.key_alice == platform.multiply(platform.conjugate(g, h), g)
 
 
 def test_semidirect_transmission_closed_form():
@@ -399,7 +400,7 @@ def transmission_oracle(phi, g, m):
     """The defining product phi^{m-1}(g) ... phi(g) g, one factor at a time."""
     factors = [g]
     for _ in range(m - 1):
-        factors.append(phi.apply(factors[-1]))
+        factors.append(phi.platform.conjugate(factors[-1], phi.h))
     out = phi.platform.identity()
     for f in reversed(factors):
         out = phi.platform.multiply(out, f)
@@ -408,7 +409,7 @@ def transmission_oracle(phi, g, m):
 
 def apply_times(phi, e, m):
     for _ in range(m):
-        e = phi.apply(e)
+        e = phi.platform.conjugate(e, phi.h)
     return e
 
 
@@ -463,11 +464,13 @@ def test_semidirect_transmission_cost_is_logarithmic():
 
 
 def test_inner_automorphism_rejects_singular():
-    # a singular "element" cannot be built on the matrix platform at all,
-    # so exercise the guard through a platform whose invert can fail
+    # a singular "element" cannot be built through the matrix platform's
+    # element(), so build its payload directly: the platform's invert fails
     platform = MatrixModP(2, 5)
+    with pytest.raises(SetupError, match="invertible"):
+        inner_automorphism(platform, Element(platform, ((1, 2), (2, 4))))
     good = platform.random_element(random.Random(1))
-    assert inner_automorphism(platform, good).apply(platform.identity()) == platform.identity()
+    assert inner_automorphism(platform, good).h == good
 
 
 def test_semidirect_transcript_has_only_first_components():

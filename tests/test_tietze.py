@@ -266,26 +266,27 @@ def test_break_relators_rejects_small_max_len():
 def test_discard_relators():
     chain = worked_example_chain()
     h = chain.end
-    assert discard_relators(h, range(len(h.relators))) == h
+    assert discard_relators(h, frozenset()) == h
     # the three-relator public presentation from the worked example
-    h_hat = discard_relators(h, {0, 1, 3})
+    h_hat = discard_relators(h, {2, 4})
     assert [serialize_word(r) for r in h_hat.relators] == [
         "6,2,2",
         "1,-5,3",
         "1,-2,-2,-5",
     ]
-    with pytest.raises(MoveError):
-        discard_relators(h, set())
-    with pytest.raises(MoveError):
-        discard_relators(h, {99})
+    # every relator may be withheld; hom_keygen is what refuses to
+    assert discard_relators(h, range(len(h.relators))) == Presentation(h.n_gens, ())
+    for withheld in ({99}, {0, 5}, {-1}):
+        with pytest.raises(MoveError, match="missing relators"):
+            discard_relators(h, withheld)
 
 
 def test_discard_then_restore_recovers_original():
     h = worked_example_chain().end
-    keep = {0, 1, 3}
-    h_hat = discard_relators(h, keep)
+    withheld = {2, 4}
+    h_hat = discard_relators(h, withheld)
     restored = list(h_hat.relators)
-    for idx in sorted(set(range(len(h.relators))) - keep):
+    for idx in sorted(withheld):
         restored.insert(idx, h.relators[idx])
     assert Presentation(h.n_gens, tuple(restored)) == h
 
